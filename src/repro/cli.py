@@ -20,12 +20,13 @@ Subcommands
     Run a classic finite-state protocol to convergence on a selectable
     engine (agent-level reference, count-based, or batched — see
     ``DESIGN.md``, Engine selection).
-``repro sweep --protocol majority --sizes 10000,100000 --runs 10 --workers 4 --cache-dir .repro-cache --resume``
+``repro sweep --protocol majority --sizes 10000,100000 --runs 10 --workers 4 --cache-dir .repro-cache``
     Multi-size, multi-seed sweep of a finite-state workload through the
     parallel sweep driver: trials fan out over a worker pool, finished
-    trials are appended to an on-disk JSON-lines cache, and ``--resume``
-    replays cached trials so interrupted or repeated sweeps only execute
-    what is missing (see ``DESIGN.md``, Sweep driver).
+    trials are appended to a result store (``--cache-dir DIR`` is shorthand
+    for ``--store jsonl:DIR``), and stored trials replay so interrupted or
+    repeated sweeps only execute what is missing (see ``DESIGN.md``, Sweep
+    driver).
 ``repro sweep --engine vector --protocol figure2 --sizes 100000,1000000``
     The same sweep driver running the vector-engine workloads that are not
     finite-state: ``figure2`` (``Log-Size-Estimation`` to all-done) and
@@ -98,7 +99,6 @@ from repro.crn import (
     compile_crn,
     get_crn_workload,
 )
-from repro.harness.cache import ResultCache
 from repro.harness.figures import reproduce_figure2
 from repro.harness.parallel import (
     VECTOR_WORKLOADS,
@@ -126,24 +126,21 @@ def _parameters_from_args(args: argparse.Namespace) -> ProtocolParameters:
 
 
 def _sweep_persistence_from_args(args: argparse.Namespace, name: str):
-    """Resolve ``--store`` / ``--cache-dir`` into ``(cache, store)``.
+    """Resolve ``--store`` / ``--cache-dir`` into one result store, or None.
 
-    ``--store`` opens a shared result store (always resuming — shared
-    stores are never cleared, since other drivers may own records in
-    them); ``--cache-dir`` keeps the historical local-JSONL behaviour,
-    including the clear-unless-``--resume`` rule.
+    ``--cache-dir DIR`` is shorthand for ``--store jsonl:DIR``; either way a
+    JSONL sweep writes the shard ``DIR/<name>.jsonl``.  Every store resumes:
+    finished trials replay instead of executing again.
     """
-    if getattr(args, "store", None):
-        if args.cache_dir:
-            raise SimulationError("pass either --store or --cache-dir, not both")
-        lease = getattr(args, "lease", None) or DEFAULT_LEASE_SECONDS
-        return None, open_store(args.store, lease_seconds=lease, name=name)
-    cache = None
+    url = args.store
     if args.cache_dir:
-        cache = ResultCache(args.cache_dir, name=name)
-        if not args.resume:
-            cache.clear()
-    return cache, None
+        if url:
+            raise SimulationError("pass either --store or --cache-dir, not both")
+        url = f"jsonl:{args.cache_dir}"
+    if not url:
+        return None
+    lease = args.lease or DEFAULT_LEASE_SECONDS
+    return open_store(url, lease_seconds=lease, name=name)
 
 
 def _add_store_arguments(parser: argparse.ArgumentParser) -> None:
@@ -691,13 +688,13 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         return 2
 
     try:
-        cache, store = _sweep_persistence_from_args(
+        store = _sweep_persistence_from_args(
             args, f"{args.protocol}-{args.engine}"
         )
         progress_view = _telemetry_from_args(args)
         try:
             outcome = run_trials(
-                specs, workers=args.workers, cache=cache, store=store,
+                specs, workers=args.workers, store=store,
                 lease_seconds=args.lease, progress=progress_view,
             )
         finally:
@@ -724,8 +721,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         f"trials: {len(specs)} total, {outcome.executed} executed, "
         f"{outcome.from_cache} from cache"
     )
-    if cache is not None:
-        print(f"cache: {cache.path}")
     if store is not None:
         print(f"store: {store.describe()}")
     print()
@@ -818,7 +813,6 @@ def _cmd_check(args: argparse.Namespace) -> int:
             only=args.only or None,
             lint_paths=args.paths or None,
             waiver_file=args.waivers or None,
-            update_baseline=args.update_baseline,
         )
     except (ValueError, OSError) as error:
         print(f"repro check: error: {error}", file=sys.stderr)
@@ -1112,13 +1106,13 @@ def _cmd_crn_sweep(args: argparse.Namespace) -> int:
         return 2
 
     try:
-        cache, store = _sweep_persistence_from_args(
+        store = _sweep_persistence_from_args(
             args, f"crn-{args.crn}-{args.engine}"
         )
         progress_view = _telemetry_from_args(args)
         try:
             outcome = run_trials(
-                specs, workers=args.workers, cache=cache, store=store,
+                specs, workers=args.workers, store=store,
                 lease_seconds=args.lease, progress=progress_view,
             )
         finally:
@@ -1140,8 +1134,6 @@ def _cmd_crn_sweep(args: argparse.Namespace) -> int:
         f"trials: {len(specs)} total, {outcome.executed} executed, "
         f"{outcome.from_cache} from cache"
     )
-    if cache is not None:
-        print(f"cache: {cache.path}")
     if store is not None:
         print(f"store: {store.describe()}")
     print()
@@ -1418,7 +1410,7 @@ def build_parser() -> argparse.ArgumentParser:
     check = subparsers.add_parser(
         "check",
         help="static analysis: protocol/CRN semantics, determinism lint, "
-        "cache-key and capability-matrix contracts, typing ratchet",
+        "cache-key and capability-matrix contracts",
         description=(
             "Run the static analyzers (see DESIGN.md, 'Static analysis'). "
             "Exit 0 when every error-severity finding is waived, 1 "
@@ -1433,7 +1425,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     check.add_argument(
         "--only", action="append", default=None, metavar="FAMILY",
-        choices=("semantic", "lint", "contracts", "typing"),
+        choices=("semantic", "lint", "contracts"),
         help="run only this analyzer family (repeatable; default: all)",
     )
     check.add_argument(
@@ -1450,11 +1442,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--waivers", default=None, metavar="FILE",
         help="extra waivers as JSON: "
         '{"waivers": [{"rule": ..., "location": ..., "justification": ...}]}',
-    )
-    check.add_argument(
-        "--update-baseline", action="store_true",
-        help="typing family: rewrite staticcheck_typing_baseline.json with "
-        "the current strict-mypy error counts",
     )
     check.set_defaults(handler=_cmd_check)
 
@@ -1560,7 +1547,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     crn_sweep = crn_sub.add_parser(
         "sweep",
-        help="multi-size, multi-seed CRN sweep (parallel workers, resumable cache)",
+        help="multi-size, multi-seed CRN sweep (parallel workers, resumable store)",
         description=(
             "Sweep a registered CRN workload through the parallel driver.  "
             "The full network — every rate constant — participates in the "
@@ -1592,11 +1579,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     crn_sweep.add_argument(
         "--cache-dir", default="",
-        help="directory of the JSON-lines result cache (empty: no cache)",
-    )
-    crn_sweep.add_argument(
-        "--resume", action="store_true",
-        help="replay trials already in the cache instead of recomputing them",
+        help="shorthand for --store jsonl:DIR (empty: no store)",
     )
     crn_sweep.add_argument(
         "--chem-time", type=float, default=None,
@@ -1830,15 +1813,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     sweep = subparsers.add_parser(
         "sweep",
-        help="multi-size, multi-seed sweep with parallel workers and a resumable cache",
+        help="multi-size, multi-seed sweep with parallel workers and a resumable store",
         description=(
             "Sweep a finite-state workload over population sizes and seeds "
             "through the parallel sweep driver.  Trials are independent and "
             "deterministically seeded, so --workers N produces record-for-"
-            "record identical results to --workers 1.  With --cache-dir, "
-            "finished trials are appended to a JSON-lines cache keyed by a "
-            "hash of each trial spec; --resume replays cached trials so an "
-            "interrupted or repeated sweep executes only the missing ones."
+            "record identical results to --workers 1.  With --store (or "
+            "--cache-dir DIR, shorthand for --store jsonl:DIR), finished "
+            "trials are appended to a result store keyed by a hash of each "
+            "trial spec, and stored trials replay so an interrupted or "
+            "repeated sweep executes only the missing ones."
         ),
     )
     sweep.add_argument(
@@ -1866,12 +1850,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sweep.add_argument(
         "--cache-dir", default="",
-        help="directory of the JSON-lines result cache (empty: no cache)",
-    )
-    sweep.add_argument(
-        "--resume", action="store_true",
-        help="replay trials already in the cache instead of recomputing them "
-        "(without this flag an existing cache file is cleared first)",
+        help="shorthand for --store jsonl:DIR (empty: no store)",
     )
     sweep.add_argument(
         "--max-time", type=float, default=None,

@@ -8,9 +8,10 @@ The harness turns the simulators into the artefacts the paper reports:
 * :mod:`repro.harness.parallel` — the sweep driver: picklable
   :class:`TrialSpec` per trial, deterministic seed spawning, and a
   ``multiprocessing`` worker pool behind ``workers=N``;
-* :mod:`repro.harness.cache` — JSON-lines result cache keyed by trial-spec
-  hashes, making interrupted sweeps resumable and repeated benchmark
-  invocations incremental;
+* :mod:`repro.harness.cache` — the JSON-lines record format of the
+  ``jsonl:`` result store (:mod:`repro.store`), whose trial-spec-hash keys
+  make interrupted sweeps resumable and repeated benchmark invocations
+  incremental;
 * :mod:`repro.harness.figures` — the Figure 2 reproduction (convergence time
   vs population size) as data series plus an ASCII rendering and CSV export;
 * :mod:`repro.harness.tables` — the theorem-level tables (accuracy, state
@@ -26,7 +27,6 @@ from repro.harness.results import (
     records_equal,
     summarize,
 )
-from repro.harness.cache import ResultCache
 from repro.harness.experiment import (
     ExperimentSpec,
     run_array_experiment,
@@ -57,7 +57,6 @@ __all__ = [
     "SweepResult",
     "records_equal",
     "summarize",
-    "ResultCache",
     "SweepOutcome",
     "TrialSpec",
     "VectorWorkload",

@@ -1,19 +1,19 @@
-"""On-disk result cache for sweep trials (JSON lines, keyed by spec hash).
+"""JSON-lines record format of the ``jsonl:`` result store.
 
 A sweep is a list of :class:`~repro.harness.parallel.TrialSpec` objects, each
-with a stable content hash (:meth:`TrialSpec.cache_key`).  The cache stores
-one JSON line per finished trial::
+with a stable content hash (:meth:`TrialSpec.cache_key`).  The JSONL store
+(:class:`~repro.store.jsonl.JsonlStore`) keeps one line per finished trial::
 
     {"key": "<sha256 of the spec>", "record": {<RunRecord fields>}}
 
-Records are appended (and flushed) as each trial finishes, so a sweep killed
-half-way leaves a valid prefix on disk; re-running the same sweep with the
-cache attached replays the finished trials and executes only the missing
-ones.  A torn final line (the process died mid-write) is skipped on load.
+Records are appended as each trial finishes, so a sweep killed half-way
+leaves a valid prefix on disk; re-running the same sweep against the store
+replays the finished trials and executes only the missing ones.  A torn final
+line (the process died mid-write) is skipped on load.
 
 Because the key hashes every field of the spec — protocol, population size,
 run index, base seed, engine, budget, engine options — changing *any* of them
-changes the key, so a cache directory can safely accumulate results from many
+changes the key, so a store directory can safely accumulate results from many
 different sweeps without false hits.
 
 Format note: every line is *strict* JSON.  Non-finite floats (the ``inf``
@@ -27,7 +27,6 @@ other languages).  On load a ``null`` ``max_additive_error`` is rebuilt as
 
 from __future__ import annotations
 
-import json
 import math
 import os
 from pathlib import Path
@@ -39,7 +38,7 @@ except ImportError:  # pragma: no cover - non-POSIX platforms
 
 from repro.harness.results import RunRecord
 
-__all__ = ["ResultCache", "append_jsonl_line", "record_to_dict", "record_from_dict"]
+__all__ = ["append_jsonl_line", "record_to_dict", "record_from_dict"]
 
 
 def append_jsonl_line(path: str | Path, line: str) -> None:
@@ -99,7 +98,7 @@ def record_to_dict(record: RunRecord) -> dict:
     Non-finite floats anywhere in the record — the top-level
     ``max_additive_error`` (``NaN`` where not applicable, ``inf`` for a
     non-converged trial with no estimates) as well as values nested inside
-    ``extra`` — are mapped to ``None`` so the cache file stays valid JSON
+    ``extra`` — are mapped to ``None`` so the shard file stays valid JSON
     (see the module note).
     """
     return {
@@ -131,83 +130,3 @@ def record_from_dict(payload: dict) -> RunRecord:
         max_additive_error=math.nan if error is None else error,
         extra=payload.get("extra", {}),
     )
-
-
-class ResultCache:
-    """Append-only JSON-lines store of finished trial records.
-
-    Parameters
-    ----------
-    directory:
-        Cache directory (created if missing).  One cache *file* lives under
-        it per ``name``, so several sweeps can share a directory.
-    name:
-        Stem of the cache file (``<name>.jsonl``).
-
-    Notes
-    -----
-    Appends go through :func:`append_jsonl_line` (``O_APPEND`` single-write
-    plus an advisory lock), so several driver processes may safely share one
-    shard file.  Each in-memory view only sees records loaded at construction
-    plus its own ``put`` calls; cross-process *coordination* (who runs what)
-    is the job of the :mod:`repro.store` layer, not this cache.
-    """
-
-    def __init__(self, directory: str | Path, name: str = "sweep") -> None:
-        self.directory = Path(directory)
-        self.directory.mkdir(parents=True, exist_ok=True)
-        self.path = self.directory / f"{name}.jsonl"
-        self._records: dict[str, RunRecord] = {}
-        self._load()
-
-    def _load(self) -> None:
-        if not self.path.exists():
-            return
-        with open(self.path, "r", encoding="utf-8") as handle:
-            for line in handle:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    payload = json.loads(line)
-                    record = record_from_dict(payload["record"])
-                    key = payload["key"]
-                except (json.JSONDecodeError, KeyError, TypeError):
-                    # Torn write from a killed sweep: ignore the partial line.
-                    continue
-                self._records[key] = record
-
-    # -- mapping interface ---------------------------------------------------
-
-    def __len__(self) -> int:
-        return len(self._records)
-
-    def __contains__(self, key: str) -> bool:
-        return key in self._records
-
-    def get(self, key: str) -> RunRecord | None:
-        """Return the cached record for ``key``, or ``None`` on a miss."""
-        return self._records.get(key)
-
-    def put(self, key: str, record: RunRecord) -> None:
-        """Store ``record`` under ``key`` and append it to the cache file."""
-        self._records[key] = record
-        # record_to_dict canonicalised every value; allow_nan=False turns any
-        # remaining non-finite float into a hard error rather than silently
-        # writing an invalid-JSON Infinity/NaN token.
-        line = json.dumps(
-            {"key": key, "record": record_to_dict(record)},
-            sort_keys=True,
-            allow_nan=False,
-        )
-        append_jsonl_line(self.path, line)
-
-    def items(self) -> list[tuple[str, RunRecord]]:
-        """All (key, record) pairs currently loaded, in insertion order."""
-        return list(self._records.items())
-
-    def clear(self) -> None:
-        """Forget all cached records and truncate the cache file."""
-        self._records.clear()
-        if self.path.exists():
-            self.path.unlink()

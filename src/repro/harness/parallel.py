@@ -7,8 +7,8 @@ combination.  Each trial is described by a frozen, picklable
 :class:`TrialSpec`; :func:`run_trial` executes one spec to a
 :class:`~repro.harness.results.RunRecord`; :func:`run_trials` maps specs over
 a ``multiprocessing`` worker pool (or serially for ``workers=1``) and
-optionally through a :class:`~repro.harness.cache.ResultCache`, so
-interrupted sweeps resume without recomputing finished trials.
+optionally through a :mod:`repro.store` result store, so interrupted sweeps
+resume without recomputing finished trials.
 
 Determinism
 -----------
@@ -49,7 +49,6 @@ from typing import Callable, Mapping, Sequence
 
 from repro.core.parameters import ProtocolParameters
 from repro.exceptions import ConvergenceError, SimulationError
-from repro.harness.cache import ResultCache
 from repro.harness.results import RunRecord
 from repro.obs.manifest import TELEMETRY_KEY, trial_manifest
 from repro.obs.progress import SweepProgress
@@ -1199,11 +1198,11 @@ class SweepOutcome:
     executed:
         Trials actually simulated *by this driver* in this invocation.
     from_cache:
-        Trials replayed from the result store/cache (including trials
+        Trials replayed from the result store (including trials
         another concurrent driver finished while this one was running).
     executed_keys:
         Store keys of the trials this driver simulated itself, in
-        completion order.  Empty when no store/cache is attached.  Lets
+        completion order.  Empty when no store is attached.  Lets
         distributed tests assert exactly-once execution: two drivers
         sharing a store must report *disjoint* key sets.
     """
@@ -1217,7 +1216,6 @@ class SweepOutcome:
 def run_trials(
     specs: Sequence[TrialSpec],
     workers: int = 1,
-    cache: ResultCache | None = None,
     store=None,
     lease_seconds: float | None = None,
     owner: str | None = None,
@@ -1245,15 +1243,11 @@ def run_trials(
         (no pickling constraints); ``> 1`` runs them on a
         ``multiprocessing.Pool``, at most ``workers`` in flight.  Claims
         and appends always happen in the driver process.
-    cache:
-        Legacy keyword: a local :class:`ResultCache`, wrapped into a
-        single-driver :class:`~repro.store.jsonl.JsonlStore`.  Behaviour is
-        unchanged — hits replay without simulation, new records append as
-        they finish.  Mutually exclusive with ``store``.
     store:
         A :class:`~repro.store.base.ResultStore`, a parsed
         :class:`~repro.store.base.StoreSpec`, or a store URL
-        (``jsonl:DIR`` / ``sqlite:PATH`` / ``http://HOST:PORT``).
+        (``jsonl:DIR`` / ``sqlite:PATH`` / ``http://HOST:PORT``); ``None``
+        runs every trial without persistence.
     lease_seconds:
         Lease duration for each claim; ``None`` uses the store's default.
         Size it to comfortably exceed the slowest single trial.
@@ -1279,8 +1273,6 @@ def run_trials(
     specs = list(specs)
     if workers < 1:
         raise SimulationError(f"workers must be >= 1, got {workers}")
-    if store is not None and cache is not None:
-        raise SimulationError("pass either store= or cache=, not both")
     records: list[RunRecord | None] = [None] * len(specs)
 
     # Workers start with telemetry disabled; when the driver records, the
@@ -1299,7 +1291,7 @@ def run_trials(
                 )
             )
 
-    if store is None and cache is None:
+    if store is None:
         # No persistence: plain fan-out, no keys to compute or claim.
         if workers == 1 or len(specs) <= 1:
             for index, spec in enumerate(specs):
@@ -1318,14 +1310,9 @@ def run_trials(
             _REC.flush_spool()
         return SweepOutcome(records=records, executed=len(specs), from_cache=0)
 
-    if cache is not None:
-        from repro.store.jsonl import JsonlStore
+    from repro.store import open_store
 
-        resolved = JsonlStore(cache=cache)
-    else:
-        from repro.store import open_store
-
-        resolved = open_store(store)
+    resolved = open_store(store)
     if owner is None:
         from repro.store.base import default_owner
 
@@ -1358,13 +1345,11 @@ def run_trials(
         )
 
     def _finish(key: str, record: RunRecord) -> None:
+        t0 = _REC.now_ns() if _REC.enabled else 0
+        resolved.append(key, record)
         if _REC.enabled:
-            t0 = _REC.now_ns()
-            resolved.append(key, record)
             _REC.add_time("store.append", _REC.now_ns() - t0)
             _REC.count("store.appends")
-        else:
-            resolved.append(key, record)
         for index in indices_by_key[key]:
             records[index] = record
         executed_keys.append(key)
@@ -1416,15 +1401,13 @@ def run_trials(
             # 2. Claim and dispatch up to capacity.
             while queue and len(in_flight) < capacity:
                 key = queue.popleft()
+                t0 = _REC.now_ns() if _REC.enabled else 0
+                claim = resolved.claim(key, lease=lease_seconds, owner=owner)
                 if _REC.enabled:
-                    t0 = _REC.now_ns()
-                    claim = resolved.claim(key, lease=lease_seconds, owner=owner)
                     _REC.add_time("store.claim", _REC.now_ns() - t0)
                     _REC.count("store.claims")
                     if claim.acquired:
                         _REC.count("store.claims_acquired")
-                else:
-                    claim = resolved.claim(key, lease=lease_seconds, owner=owner)
                 if claim.done:
                     _replay(key, claim.record)
                     moved = True

@@ -64,7 +64,7 @@ class Diagnostic:
     rule:
         Stable rule id (``P1xx`` protocol semantics, ``C2xx`` CRN semantics,
         ``D3xx`` determinism lint, ``K4xx`` cache-key contracts, ``M5xx``
-        capability matrix, ``T6xx`` typing ratchet, ``W0xx`` meta).
+        capability matrix, ``W0xx`` meta).
     severity:
         ``"error"`` fails the check (unless waived), ``"warning"`` and
         ``"info"`` never do.

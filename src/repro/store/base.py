@@ -1,8 +1,7 @@
 """The result-store abstraction: claim-based, resume-anywhere sweep storage.
 
-The sweep harness historically persisted finished trials in one local JSONL
-file (:class:`~repro.harness.cache.ResultCache`), written by a single driver
-process.  Distributed sweeps need the storage layer to do more: *many*
+A single local driver can persist finished trials in one JSONL shard file.
+Distributed sweeps need the storage layer to do more: *many*
 drivers on many hosts share one store, each repeatedly claiming the next
 unowned trial, running it, and appending the record — so duplicated work is
 structurally impossible rather than merely unlikely, and a sweep resumes
@@ -10,7 +9,7 @@ from any mix of completed/leased/failed trials on any host.
 
 :class:`ResultStore` is that contract.  Keys are the existing SHA-256 spec
 hashes (:meth:`TrialSpec.cache_key`), so identical submissions deduplicate
-through content addressing exactly as the local cache always did.  The four
+through content addressing in every store.  The four
 core operations:
 
 ``claim(key, lease, owner)``
@@ -27,8 +26,8 @@ core operations:
     Point lookup and batch which-of-these-are-missing, used by drivers to
     replay finished trials without claiming them.
 
-Three implementations ship: :class:`~repro.store.jsonl.JsonlStore` (the
-backwards-compatible single-driver wrapper of ``ResultCache``),
+Three implementations ship: :class:`~repro.store.jsonl.JsonlStore`
+(single-driver JSONL shard files, the ``--cache-dir`` format),
 :class:`~repro.store.sqlite.SqliteStore` (WAL-mode SQLite, safe for many
 processes on one host) and :class:`~repro.store.http.HttpStore` (thin
 client of ``repro store serve``, for many hosts).
@@ -205,7 +204,7 @@ class StoreSpec:
     lease_seconds:
         Driver-side default lease duration for claims through this store.
     name:
-        JSONL only: stem of the cache file inside the directory.
+        JSONL only: stem of the shard file inside the directory.
     """
 
     scheme: str
@@ -281,7 +280,7 @@ class ResultStore(abc.ABC):
       (crashed worker); expiry makes the key claimable again, never lost.
     * Records are exactly the driver's :class:`RunRecord` values — the
       store layer neither inspects nor rewrites them beyond the JSON
-      canonicalisation the JSONL cache always applied.
+      canonicalisation of :mod:`repro.harness.cache`.
     """
 
     #: Default lease duration for claims when the caller passes none.

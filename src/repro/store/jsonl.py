@@ -1,9 +1,11 @@
-"""JSONL result store: the backwards-compatible single-driver default.
+"""JSONL result store: the single-driver default, one shard file per sweep.
 
-Wraps :class:`~repro.harness.cache.ResultCache` behind the
-:class:`~repro.store.base.ResultStore` contract, so the claim-loop driver in
-``harness/parallel.py`` runs unchanged against the same ``<dir>/<name>.jsonl``
-files every existing sweep already produced.
+Each store opens one shard ``<dir>/<name>.jsonl`` in the line format of
+:mod:`repro.harness.cache`: every finished trial is one strict-JSON line
+``{"key": ..., "record": ...}``, appended through
+:func:`~repro.harness.cache.append_jsonl_line` (a single ``O_APPEND`` write
+under an advisory lock), and the whole shard is loaded into memory on open.
+A torn final line (the process died mid-write) is skipped on load.
 
 Leases are tracked *in process only*: JSONL files have no atomic
 compare-and-claim primitive, so this store is correct for any number of
@@ -16,9 +18,10 @@ use ``sqlite:`` or ``http:`` stores.
 
 from __future__ import annotations
 
+import json
 from pathlib import Path
 
-from repro.harness.cache import ResultCache
+from repro.harness.cache import append_jsonl_line, record_from_dict, record_to_dict
 from repro.harness.results import RunRecord
 from repro.obs.recorder import RECORDER as _REC
 from repro.store.base import (
@@ -29,6 +32,7 @@ from repro.store.base import (
     DEFAULT_LEASE_SECONDS,
     LeaseReport,
     ResultStore,
+    StoreError,
     StoreStatus,
     default_owner,
     workload_label,
@@ -37,52 +41,83 @@ from repro.store.base import (
 __all__ = ["JsonlStore"]
 
 
+def _load_shard(path: Path) -> dict[str, RunRecord]:
+    """Every (key, record) of one shard file, skipping torn lines."""
+    records: dict[str, RunRecord] = {}
+    if not path.exists():
+        return records
+    with open(path, "r", encoding="utf-8") as handle:
+        for line in handle:
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                payload = json.loads(line)
+                record = record_from_dict(payload["record"])
+                key = payload["key"]
+            except (json.JSONDecodeError, KeyError, TypeError):
+                # Torn write from a killed sweep: ignore the partial line.
+                continue
+            records[key] = record
+    return records
+
+
 class JsonlStore(ResultStore):
-    """Single-driver store over a :class:`ResultCache` JSONL shard.
+    """Single-driver store over one JSONL shard file.
 
     Parameters
     ----------
     directory:
-        Cache directory (created if missing), as for ``ResultCache``.
+        Store directory (created if missing); an existing *file* at this
+        location is a :class:`StoreError`.  Several sweeps share one
+        directory, each in its own shard.
     name:
-        Stem of the shard file (``<name>.jsonl``).
+        Stem of this store's shard file (``<name>.jsonl``).
     lease_seconds:
         Nominal lease duration; in-process leases never expire (the holder
         is this very process — if it died, the leases died with it), so the
         value is informational only.
-    cache:
-        An existing ``ResultCache`` to wrap instead of opening one; used by
-        ``run_trials(cache=...)`` so the legacy keyword keeps its exact
-        behaviour.
     """
 
     def __init__(
         self,
-        directory: str | Path | None = None,
+        directory: str | Path,
         name: str = "sweep",
         lease_seconds: float = DEFAULT_LEASE_SECONDS,
-        cache: ResultCache | None = None,
     ) -> None:
-        if cache is None:
-            if directory is None:
-                raise ValueError("JsonlStore needs a directory or a cache")
-            cache = ResultCache(directory, name=name)
-        self.cache = cache
+        self.directory = Path(directory)
+        if self.directory.exists() and not self.directory.is_dir():
+            raise StoreError(
+                f"jsonl store location {str(directory)!r} is a file; "
+                f"pass its directory (jsonl:DIR)"
+            )
+        self.directory.mkdir(parents=True, exist_ok=True)
+        self.path = self.directory / f"{name}.jsonl"
         self.lease_seconds = float(lease_seconds)
+        self._records = _load_shard(self.path)
         self._leases: dict[str, str] = {}
 
     def describe(self) -> str:
-        return f"jsonl:{self.cache.path}"
+        return f"jsonl:{self.directory}"
 
     def get(self, key: str) -> RunRecord | None:
-        return self.cache.get(key)
+        return self._records.get(key)
 
     def append(
         self, key: str, record: RunRecord, wall_seconds: float | None = None
     ) -> None:
         if _REC.enabled:
             _REC.count("store.jsonl.appends")
-        self.cache.put(key, record)
+        self._records[key] = record
+        # record_to_dict canonicalised every value; allow_nan=False turns any
+        # remaining non-finite float into a hard error rather than silently
+        # writing an invalid-JSON Infinity/NaN token.
+        line = json.dumps(
+            {"key": key, "record": record_to_dict(record)},
+            sort_keys=True,
+            allow_nan=False,
+        )
+        append_jsonl_line(self.path, line)
         self._leases.pop(key, None)
 
     def claim(
@@ -90,7 +125,7 @@ class JsonlStore(ResultStore):
     ) -> Claim:
         if _REC.enabled:
             _REC.count("store.jsonl.claims")
-        record = self.cache.get(key)
+        record = self._records.get(key)
         if record is not None:
             return Claim(status=CLAIM_DONE, record=record)
         owner = owner or default_owner()
@@ -108,21 +143,26 @@ class JsonlStore(ResultStore):
             del self._leases[key]
 
     def status(self) -> StoreStatus:
+        """Completion over *every* shard in the directory, not just this one."""
+        records: dict[str, RunRecord] = {}
+        for path in sorted(self.directory.glob("*.jsonl")):
+            if path != self.path:
+                records.update(_load_shard(path))
+        records.update(self._records)
         leases = tuple(
             LeaseReport(key=key, owner=owner, expires=None, stale=False)
             for key, owner in sorted(self._leases.items())
         )
-        records = [record for _, record in self.cache.items()]
         rows = (
             (
                 workload_label(record),
                 int((record.extra or {}).get("interactions", 0) or 0),
                 0.0,
             )
-            for record in records
+            for record in records.values()
         )
         return StoreStatus(
-            completed=len(self.cache),
+            completed=len(records),
             leased=len(leases),
             stale=0,
             leases=leases,

@@ -1,8 +1,9 @@
-"""Tests for the parallel sweep driver, seed spawning and the result cache."""
+"""Tests for the parallel sweep driver, seed spawning and the JSONL store."""
 
 from __future__ import annotations
 
 import dataclasses
+import inspect
 import json
 import math
 
@@ -10,7 +11,7 @@ import pytest
 
 from repro.core.parameters import ProtocolParameters
 from repro.exceptions import SimulationError
-from repro.harness.cache import ResultCache, record_from_dict, record_to_dict
+from repro.harness.cache import record_from_dict, record_to_dict
 from repro.harness.experiment import (
     ExperimentSpec,
     run_array_experiment,
@@ -27,7 +28,9 @@ from repro.harness.parallel import (
     run_trials,
 )
 from repro.harness.results import RunRecord, records_equal
+from repro.obs.recorder import RECORDER, recording
 from repro.protocols.epidemic import EpidemicProtocol, epidemic_completion_predicate
+from repro.store.jsonl import JsonlStore
 from repro.rng import spawn_seed
 from repro.staticcheck.contracts import trial_spec_perturbations
 
@@ -229,15 +232,17 @@ class TestParallelMatchesSerial:
 
 
 class TestResultCache:
+    """Sweeps persisted and resumed through the JSONL result store."""
+
     def test_round_trip_preserves_records(self, tmp_path):
         specs = epidemic_trials()
-        cache = ResultCache(tmp_path)
-        first = run_trials(specs, cache=cache)
+        store = JsonlStore(tmp_path)
+        first = run_trials(specs, store=store)
         assert first.executed == len(specs)
         assert first.from_cache == 0
 
-        reloaded = ResultCache(tmp_path)
-        second = run_trials(specs, cache=reloaded)
+        reloaded = JsonlStore(tmp_path)
+        second = run_trials(specs, store=reloaded)
         assert second.executed == 0
         assert second.from_cache == len(specs)
         assert all(
@@ -247,20 +252,20 @@ class TestResultCache:
 
     def test_killed_sweep_resumes_from_cache(self, tmp_path):
         specs = epidemic_trials()
-        cache = ResultCache(tmp_path)
-        full = run_trials(specs, cache=cache)
+        store = JsonlStore(tmp_path)
+        full = run_trials(specs, store=store)
 
         # Simulate a sweep killed after two finished trials: keep only the
-        # first two cache lines (plus a torn partial third line).
-        lines = cache.path.read_text(encoding="utf-8").splitlines()
-        cache.path.write_text(
+        # first two shard lines (plus a torn partial third line).
+        lines = store.path.read_text(encoding="utf-8").splitlines()
+        store.path.write_text(
             "\n".join(lines[:2]) + "\n" + lines[2][: len(lines[2]) // 2],
             encoding="utf-8",
         )
 
-        resumed_cache = ResultCache(tmp_path)
-        assert len(resumed_cache) == 2
-        resumed = run_trials(specs, cache=resumed_cache)
+        resumed_store = JsonlStore(tmp_path)
+        assert resumed_store.status().completed == 2
+        resumed = run_trials(specs, store=resumed_store)
         assert resumed.from_cache == 2
         assert resumed.executed == len(specs) - 2
         assert all(
@@ -270,9 +275,8 @@ class TestResultCache:
 
     def test_parallel_resume_matches_serial(self, tmp_path):
         specs = epidemic_trials()
-        cache = ResultCache(tmp_path)
-        run_trials(specs[:1], cache=cache)
-        outcome = run_trials(specs, workers=4, cache=ResultCache(tmp_path))
+        run_trials(specs[:1], store=JsonlStore(tmp_path))
+        outcome = run_trials(specs, workers=4, store=JsonlStore(tmp_path))
         assert outcome.from_cache == 1
         assert outcome.executed == len(specs) - 1
         baseline = run_trials(specs)
@@ -296,20 +300,71 @@ class TestResultCache:
         assert records_equal(record, clone)
 
     def test_caches_are_shareable_across_sweeps(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        run_trials(epidemic_trials(sizes=[64], runs=1), cache=cache)
+        store = JsonlStore(tmp_path)
+        run_trials(epidemic_trials(sizes=[64], runs=1), store=store)
         other = run_trials(
-            epidemic_trials(sizes=[64], runs=1, engine="batched"), cache=cache
+            epidemic_trials(sizes=[64], runs=1, engine="batched"), store=store
         )
         assert other.executed == 1  # different engine -> different key
 
-    def test_clear_empties_store_and_file(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        run_trials(epidemic_trials(sizes=[64], runs=1), cache=cache)
-        assert len(cache) == 1
-        cache.clear()
-        assert len(cache) == 0
-        assert not cache.path.exists()
+
+class _CountingStore(JsonlStore):
+    """A JSONL store that counts the driver's claim and append calls."""
+
+    def __init__(self, directory):
+        super().__init__(directory)
+        self.calls = {"claim": 0, "append": 0}
+
+    def claim(self, key, lease=None, owner=None):
+        self.calls["claim"] += 1
+        return super().claim(key, lease=lease, owner=owner)
+
+    def append(self, key, record, wall_seconds=None):
+        self.calls["append"] += 1
+        super().append(key, record, wall_seconds=wall_seconds)
+
+
+class TestPersistenceApi:
+    @pytest.mark.parametrize(
+        "function",
+        [
+            run_trials,
+            run_finite_state_experiment,
+            run_array_experiment,
+            run_sequential_experiment,
+            JsonlStore,
+        ],
+        ids=lambda function: function.__name__,
+    )
+    def test_no_cache_parameter(self, function):
+        # Persistence goes through store= (or a JsonlStore) only.
+        assert "cache" not in inspect.signature(function).parameters
+
+    @pytest.mark.parametrize("telemetry", [False, True], ids=["off", "on"])
+    def test_one_claim_and_append_per_trial(self, tmp_path, telemetry):
+        specs = epidemic_trials()
+        store = _CountingStore(tmp_path)
+        RECORDER.reset()
+        try:
+            if telemetry:
+                with recording():
+                    outcome = run_trials(specs, store=store)
+            else:
+                outcome = run_trials(specs, store=store)
+            counters = dict(RECORDER.counters)
+        finally:
+            RECORDER.reset()
+        assert outcome.executed == len(specs)
+        assert store.calls == {"claim": len(specs), "append": len(specs)}
+        if telemetry:
+            assert counters["store.claims"] == len(specs)
+            assert counters["store.claims_acquired"] == len(specs)
+            assert counters["store.appends"] == len(specs)
+        else:
+            assert "store.claims" not in counters
+            assert "store.appends" not in counters
+        replay = run_trials(specs, store=JsonlStore(tmp_path))
+        assert (replay.executed, replay.from_cache) == (0, len(specs))
 
 
 class TestCacheKeys:
@@ -405,15 +460,15 @@ class TestNonFiniteSerialisation:
         assert math.isinf(record.max_additive_error)
         assert math.isnan(record.extra["final_estimate_mean"])
 
-        cache = ResultCache(tmp_path, name="nonfinite")
-        cache.put(spec.cache_key(), record)
-        text = cache.path.read_text(encoding="utf-8")
+        store = JsonlStore(tmp_path, name="nonfinite")
+        store.append(spec.cache_key(), record)
+        text = store.path.read_text(encoding="utf-8")
         assert "Infinity" not in text
         assert "NaN" not in text
         for line in text.splitlines():
             json.loads(line, parse_constant=_reject_constant)  # strict parse
 
-        reloaded = ResultCache(tmp_path, name="nonfinite").get(spec.cache_key())
+        reloaded = JsonlStore(tmp_path, name="nonfinite").get(spec.cache_key())
         assert reloaded is not None
         assert reloaded.converged is False
         assert math.isnan(reloaded.max_additive_error)
@@ -425,10 +480,10 @@ class TestVectorSweeps:
         specs = build_vector_trials(
             [64], 2, protocol="figure2", params=FAST, base_seed=9
         )
-        first = run_trials(specs, cache=ResultCache(tmp_path, name="vec"))
+        first = run_trials(specs, store=JsonlStore(tmp_path, name="vec"))
         assert first.executed == 2
         assert all(record.converged for record in first.records)
-        second = run_trials(specs, cache=ResultCache(tmp_path, name="vec"))
+        second = run_trials(specs, store=JsonlStore(tmp_path, name="vec"))
         assert second.executed == 0
         assert second.from_cache == 2
         for live, cached in zip(first.records, second.records):
@@ -538,8 +593,7 @@ class TestSchedulerInSpecsAndCacheKeys:
         """A cache warmed by a uniform-scheduler sweep must execute (not
         replay) every trial of the same sweep under a non-uniform scheduler."""
         uniform = epidemic_trials(sizes=[64], runs=2, engine="agent")
-        cache = ResultCache(tmp_path)
-        first = run_trials(uniform, cache=cache)
+        first = run_trials(uniform, store=JsonlStore(tmp_path))
         assert first.executed == 2
 
         weighted = build_finite_state_trials(
@@ -553,11 +607,11 @@ class TestSchedulerInSpecsAndCacheKeys:
             scheduler="weighted",
             scheduler_options={"lazy_fraction": 0.5, "lazy_rate": 0.2},
         )
-        outcome = run_trials(weighted, cache=ResultCache(tmp_path))
+        outcome = run_trials(weighted, store=JsonlStore(tmp_path))
         assert outcome.from_cache == 0
         assert outcome.executed == 2
         # And the non-uniform results themselves replay on a second pass.
-        replay = run_trials(weighted, cache=ResultCache(tmp_path))
+        replay = run_trials(weighted, store=JsonlStore(tmp_path))
         assert replay.from_cache == 2
         for live, cached in zip(outcome.records, replay.records):
             assert records_equal(live, cached)
@@ -775,7 +829,7 @@ class TestCRNCacheKeys:
         )
 
     def test_cached_crn_trial_not_served_for_different_rate(self, tmp_path):
-        """End to end through the ResultCache: a cached slow-network trial
+        """End to end through the JSONL store: a cached slow-network trial
         must be re-executed, not replayed, when the rate constant changes."""
         from repro.harness.parallel import build_crn_trials
         from repro.crn import CRN
@@ -794,12 +848,12 @@ class TestCRNCacheKeys:
                 max_chemical_time=500.0,
             )
 
-        cache = ResultCache(tmp_path, name="crn-rates")
-        first = run_trials(trials(1.0), cache=cache)
+        store = JsonlStore(tmp_path, name="crn-rates")
+        first = run_trials(trials(1.0), store=store)
         assert (first.executed, first.from_cache) == (2, 0)
-        replay = run_trials(trials(1.0), cache=cache)
+        replay = run_trials(trials(1.0), store=store)
         assert (replay.executed, replay.from_cache) == (0, 2)
-        changed = run_trials(trials(2.0), cache=cache)
+        changed = run_trials(trials(2.0), store=store)
         assert (changed.executed, changed.from_cache) == (2, 0)
         # The single duel reaction normalises to per-interaction probability
         # 1 under either rate constant, so the parallel-time trajectory is
@@ -811,11 +865,11 @@ class TestCRNCacheKeys:
             )
 
     def test_crn_records_round_trip_through_the_cache_file(self, tmp_path):
-        cache = ResultCache(tmp_path, name="crn-roundtrip")
+        store = JsonlStore(tmp_path, name="crn-roundtrip")
         spec = self._leader_spec()
         record = run_trial(spec)
-        cache.put(spec.cache_key(), record)
-        reloaded = ResultCache(tmp_path, name="crn-roundtrip")
+        store.append(spec.cache_key(), record)
+        reloaded = JsonlStore(tmp_path, name="crn-roundtrip")
         cached = reloaded.get(spec.cache_key())
         assert records_equal(cached, record)
         assert cached.extra["counts"] == {"F": 59, "L": 1}

@@ -56,9 +56,11 @@ class TestCheckCommand:
         assert code == 1
         assert "D302" in capsys.readouterr().out
 
-    def test_only_typing_passes_without_mypy(self, capsys):
-        # Locally mypy may be missing (T600 info) or match the baseline.
-        assert main(["check", "--only", "typing"]) == 0
+    def test_only_rejects_the_removed_typing_family(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["check", "--only", "typing"])
+        assert excinfo.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
 
     def test_waiver_file_downgrades_injected_violation(self, tmp_path, capsys):
         bad = tmp_path / "bad_module.py"

@@ -6,7 +6,7 @@ import math
 
 import pytest
 
-from repro.harness.cache import ResultCache
+from repro.harness.parallel import build_finite_state_trials, run_trials
 from repro.harness.results import RunRecord, records_equal
 from repro.store import (
     CLAIM_ACQUIRED,
@@ -20,6 +20,25 @@ from repro.store import (
 )
 from repro.store.jsonl import JsonlStore
 from repro.store.sqlite import SqliteStore
+
+
+#: One shard line exactly as the JSONL format has always written it: the
+#: registered epidemic workload, count engine, n=64, base seed 5.  Shards on
+#: disk must keep loading and replaying, so these bytes are pinned.
+PINNED_LINE = (
+    b'{"key": "58003890dad5fb73e500f66e19fde5ca031d3e597975b8e7c66f845e4a02f096",'
+    b' "record": {"converged": true, "convergence_time": 6.0, "extra":'
+    b' {"engine": "count", "interactions": 384, "outputs": {"True": 64}},'
+    b' "max_additive_error": null, "population_size": 64,'
+    b' "seed": 7267653224340447987}}\n'
+)
+
+
+def pinned_trials():
+    return build_finite_state_trials(
+        [64], 1, base_seed=5, engine="count", max_parallel_time=200.0,
+        protocol="epidemic",
+    )
 
 
 def make_record(seed: int = 7, interactions: int = 120) -> RunRecord:
@@ -73,15 +92,70 @@ class TestStoreUrls:
 
 class TestJsonlStore:
     def test_wraps_existing_cache_files(self, tmp_path):
-        # Records written through the legacy ResultCache are visible through
-        # the store, and vice versa — same file, same format.
-        cache = ResultCache(tmp_path, name="sweep")
-        cache.put("k1", make_record(seed=1))
+        # Records appended by one store are visible to a store reopened on
+        # the same shard — same file, same format.
+        JsonlStore(tmp_path, name="sweep").append("k1", make_record(seed=1))
         store = JsonlStore(tmp_path, name="sweep")
         assert records_equal(store.get("k1"), make_record(seed=1))
         store.append("k2", make_record(seed=2))
-        reloaded = ResultCache(tmp_path, name="sweep")
+        reloaded = JsonlStore(tmp_path, name="sweep")
+        assert records_equal(reloaded.get("k1"), make_record(seed=1))
         assert records_equal(reloaded.get("k2"), make_record(seed=2))
+
+    def test_pinned_shard_line_replays_without_executing(self, tmp_path):
+        (tmp_path / "sweep.jsonl").write_bytes(PINNED_LINE)
+        specs = pinned_trials()
+        outcome = run_trials(specs, store=JsonlStore(tmp_path))
+        assert (outcome.executed, outcome.from_cache) == (0, 1)
+        record = outcome.records[0]
+        assert (record.seed, record.convergence_time) == (7267653224340447987, 6.0)
+        assert math.isnan(record.max_additive_error)
+
+    def test_append_writes_the_pinned_bytes(self, tmp_path):
+        record = RunRecord(
+            population_size=64,
+            seed=7267653224340447987,
+            converged=True,
+            convergence_time=6.0,
+            max_additive_error=math.nan,
+            extra={"engine": "count", "interactions": 384, "outputs": {"True": 64}},
+        )
+        store = JsonlStore(tmp_path)
+        store.append(pinned_trials()[0].cache_key(), record)
+        assert store.path.read_bytes() == PINNED_LINE
+
+    def test_describe_names_the_directory(self, tmp_path):
+        # The URL printed after a sweep must open the same store again.
+        store = JsonlStore(tmp_path, name="epidemic-count")
+        assert store.describe() == f"jsonl:{tmp_path}"
+        store.append("k", make_record())
+        assert open_store(store.describe()).status().completed == 1
+
+    def test_status_covers_every_shard_in_the_directory(self, tmp_path):
+        JsonlStore(tmp_path, name="epidemic-count").append("k1", make_record(1))
+        JsonlStore(tmp_path, name="majority-batched").append("k2", make_record(2))
+        status = open_store(f"jsonl:{tmp_path}").status()
+        assert status.completed == 2
+        assert status.workloads[0].trials == 2
+
+    def test_status_of_a_directory_without_shards_is_empty(self, tmp_path):
+        status = open_store(f"jsonl:{tmp_path / 'fresh'}").status()
+        assert (status.completed, status.leased) == (0, 0)
+        assert list((tmp_path / "fresh").iterdir()) == []
+
+    def test_status_ignores_files_that_are_not_shards(self, tmp_path):
+        JsonlStore(tmp_path, name="epidemic-count").append("k1", make_record(1))
+        (tmp_path / "notes.txt").write_text('{"key": "k2"}\n')
+        (tmp_path / "old.jsonl.bak").write_bytes(
+            (tmp_path / "epidemic-count.jsonl").read_bytes()
+        )
+        assert open_store(f"jsonl:{tmp_path}").status().completed == 1
+
+    def test_file_location_is_a_store_error(self, tmp_path):
+        shard = tmp_path / "epidemic-count.jsonl"
+        JsonlStore(tmp_path, name="epidemic-count").append("k", make_record())
+        with pytest.raises(StoreError, match="is a file"):
+            open_store(f"jsonl:{shard}")
 
     def test_claim_cycle(self, tmp_path):
         store = JsonlStore(tmp_path)

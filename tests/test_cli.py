@@ -40,6 +40,17 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["simulate", "--engine", "warp"])
 
+    @pytest.mark.parametrize(
+        "command", [["sweep"], ["crn", "sweep"]], ids=["sweep", "crn-sweep"]
+    )
+    def test_sweeps_reject_the_removed_resume_flag(self, command, tmp_path):
+        # Every store resumes, so --resume no longer exists.
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(
+                command + ["--cache-dir", str(tmp_path), "--resume"]
+            )
+        assert excinfo.value.code == 2
+
 
 class TestCommands:
     def test_bounds_text(self, capsys):
@@ -188,35 +199,15 @@ class TestCommands:
             "2",
             "--cache-dir",
             str(tmp_path),
-            "--resume",
         ]
         assert main(args) == 0
         first = capsys.readouterr().out
         assert "4 executed, 0 from cache" in first
-        # Re-running the identical sweep with --resume executes zero trials.
+        # Re-running the identical sweep executes zero trials.
         assert main(args) == 0
         second = capsys.readouterr().out
         assert "0 executed, 4 from cache" in second
         assert (tmp_path / "epidemic-count.jsonl").exists()
-
-    def test_sweep_without_resume_clears_cache(self, capsys, tmp_path):
-        args = [
-            "sweep",
-            "--protocol",
-            "epidemic",
-            "--sizes",
-            "64",
-            "--runs",
-            "1",
-            "--engine",
-            "count",
-            "--cache-dir",
-            str(tmp_path),
-        ]
-        assert main(args) == 0
-        capsys.readouterr()
-        assert main(args) == 0
-        assert "1 executed, 0 from cache" in capsys.readouterr().out
 
     def test_sweep_non_convergence_exit_code(self, capsys):
         code = main(
@@ -250,7 +241,6 @@ class TestCommands:
             "2",
             "--cache-dir",
             str(tmp_path),
-            "--resume",
         ]
         assert main(args) == 0
         output = capsys.readouterr().out
@@ -429,7 +419,7 @@ class TestSchedulerCli:
             "sweep", "--protocol", "epidemic", "--sizes", "200", "--runs", "1",
             "--engine", "vector", "--scheduler", "weighted",
             "--scheduler-opt", "lazy_rate=0.25",
-            "--cache-dir", str(tmp_path), "--resume",
+            "--cache-dir", str(tmp_path),
         ]
         assert main(common) == 0
         first = capsys.readouterr().out
@@ -698,7 +688,6 @@ class TestCRNCommands:
             "count",
             "--cache-dir",
             str(tmp_path),
-            "--resume",
         ]
         assert main(argv) == 0
         first = capsys.readouterr().out
@@ -706,6 +695,25 @@ class TestCRNCommands:
         assert main(argv) == 0
         second = capsys.readouterr().out
         assert "0 executed, 4 from cache" in second
+
+    def test_sweep_cache_dir_is_shorthand_for_a_jsonl_store(
+        self, capsys, tmp_path
+    ):
+        argv = [
+            "crn", "sweep", "--crn", "epidemic", "--sizes", "100", "--runs",
+            "2", "--engine", "count",
+        ]
+        assert main(argv + ["--cache-dir", str(tmp_path / "a")]) == 0
+        assert f"store: jsonl:{tmp_path / 'a'}" in capsys.readouterr().out
+        assert main(argv + ["--store", f"jsonl:{tmp_path / 'b'}"]) == 0
+        capsys.readouterr()
+        (shard_a,) = (tmp_path / "a").glob("*.jsonl")
+        shard_b = tmp_path / "b" / shard_a.name
+        assert shard_a.read_bytes() == shard_b.read_bytes()
+        assert main(argv + ["--store", f"jsonl:{tmp_path / 'a'}"]) == 0
+        assert "0 executed, 2 from cache" in capsys.readouterr().out
+        assert main(argv + ["--cache-dir", str(tmp_path / "b")]) == 0
+        assert "0 executed, 2 from cache" in capsys.readouterr().out
 
     def test_sweep_thinned_rejects_vector_engine(self, capsys):
         code = main(
@@ -1037,3 +1045,36 @@ class TestStoreCli:
     def test_store_status_rejects_bad_url(self, capsys):
         assert main(["store", "status", "--store", "warp:x"]) == 2
         assert "error" in capsys.readouterr().err
+
+    def test_cache_dir_is_shorthand_for_a_jsonl_store(self, capsys, tmp_path):
+        cache_args = self._sweep_args("") + ["--cache-dir", str(tmp_path / "a")]
+        store_args = self._sweep_args(f"jsonl:{tmp_path / 'b'}")
+        assert main(cache_args) == 0
+        assert f"store: jsonl:{tmp_path / 'a'}" in capsys.readouterr().out
+        assert main(store_args) == 0
+        capsys.readouterr()
+        # Both spellings write the same shard, byte for byte...
+        shard_a = tmp_path / "a" / "epidemic-count.jsonl"
+        shard_b = tmp_path / "b" / "epidemic-count.jsonl"
+        assert shard_a.read_bytes() == shard_b.read_bytes()
+        # ...and each replays the trials the other wrote.
+        assert main(self._sweep_args(f"jsonl:{tmp_path / 'a'}")) == 0
+        assert "0 executed, 4 from cache" in capsys.readouterr().out
+        assert main(self._sweep_args("") + ["--cache-dir", str(tmp_path / "b")]) == 0
+        assert "0 executed, 4 from cache" in capsys.readouterr().out
+
+    def test_store_status_counts_every_jsonl_shard(self, capsys, tmp_path):
+        assert main(self._sweep_args(f"jsonl:{tmp_path}")) == 0
+        assert f"store: jsonl:{tmp_path}\n" in capsys.readouterr().out
+        assert main(["store", "status", "--store", f"jsonl:{tmp_path}"]) == 0
+        output = capsys.readouterr().out
+        assert "completed trials" in output and ": 4" in output
+
+    def test_jsonl_store_on_a_shard_file_exits_cleanly(self, capsys, tmp_path):
+        assert main(self._sweep_args(f"jsonl:{tmp_path}")) == 0
+        capsys.readouterr()
+        shard = f"jsonl:{tmp_path / 'epidemic-count.jsonl'}"
+        assert main(self._sweep_args(shard)) == 2
+        assert "is a file" in capsys.readouterr().err
+        assert main(["store", "status", "--store", shard]) == 2
+        assert "is a file" in capsys.readouterr().err
