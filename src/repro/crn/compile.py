@@ -70,11 +70,13 @@ class CRNProtocol(FiniteStateProtocol):
     so every engine, the termination analysis and the compiled-table
     machinery treat a CRN like any hand-written protocol.
 
-    ``initial_state`` covers the seed-plus-single-default initial conditions
-    that are expressible without knowing ``n`` (one infected agent, all
-    leaders, ...).  Multi-species fractions need the population size —
-    build those configurations through
-    :meth:`CompiledCRN.initial_configuration` (the CRN runners always do).
+    :meth:`initial_configuration` resolves the CRN's initial condition at
+    any ``n`` in ``O(species)``, so the count, batched and multiscale
+    engines build from it directly.  ``initial_state`` covers only the
+    seed-plus-single-default conditions that are expressible without
+    knowing ``n`` (one infected agent, all leaders, ...); the per-agent
+    engines (agent, vector) need multi-species fractions passed as an
+    explicit configuration, which :meth:`CompiledCRN.build` supplies.
     """
 
     is_uniform = True
@@ -109,10 +111,19 @@ class CRNProtocol(FiniteStateProtocol):
         if self._default_species is None:
             raise SimulationError(
                 f"{self.crn.describe()} splits its initial fractions over "
-                f"several species, which depends on the population size; build "
-                f"the engine with CompiledCRN.initial_configuration(n)"
+                f"several species, which depends on the population size; pass "
+                f"initial_configuration(n) to the per-agent engines "
+                f"(CompiledCRN.build does)"
             )
         return self._default_species
+
+    def initial_configuration(self, population_size: int) -> Configuration:
+        counts = self.crn.initial_counts(population_size)
+        # Seeded agents take the lowest ids, so they come first, as in the
+        # per-agent build; dict.update keeps their positions.
+        ordered = {species: counts[species] for species, _ in self.crn.seeds}
+        ordered.update(counts)
+        return Configuration(ordered)
 
     def transitions(
         self, receiver: Hashable, sender: Hashable
@@ -172,7 +183,7 @@ class CompiledCRN:
 
     def initial_configuration(self, population_size: int) -> Configuration:
         """The CRN's initial condition resolved at ``population_size``."""
-        return Configuration(self.crn.initial_counts(population_size))
+        return self.protocol.initial_configuration(population_size)
 
     def to_parallel_time(self, chemical_time: float) -> float:
         """Parallel time corresponding to ``chemical_time`` (uniform mode)."""

@@ -65,7 +65,7 @@ from typing import Callable, Hashable
 import numpy as np
 
 from repro.backend import ArrayBackend, resolve_backend
-from repro.engine.configuration import Configuration
+from repro.engine.configuration import Configuration, starting_configuration
 from repro.engine.running import (
     CountTracePoint,
     run_until_predicate,
@@ -107,8 +107,8 @@ _EXACT_MULTIPLE = 10.0
 _EXACT_BURST = 64
 #: Halve-and-redraw attempts before a failing leap falls back to exact.
 _MAX_LEAP_RETRIES = 8
-#: Populations above this must supply an explicit initial configuration
-#: (building one from per-agent ``initial_state`` calls would cost O(n)).
+#: Populations above which a protocol without an ``initial_configuration``
+#: override is refused (its per-agent ``initial_state`` build is O(n)).
 _MAX_PER_AGENT_INIT = 10_000_000
 
 #: RK45 (Dormand–Prince) Butcher tableau.
@@ -424,33 +424,23 @@ class MultiscaleSimulator:
             self._rng,
         )
 
-        if initial_configuration is not None:
-            if initial_configuration.size != population_size:
-                raise SimulationError(
-                    f"initial configuration has size {initial_configuration.size}, "
-                    f"expected {population_size}"
-                )
-            source = initial_configuration.counts
-        elif population_size <= _MAX_PER_AGENT_INIT:
-            source = Counter(
-                protocol.initial_state(agent_id)
-                for agent_id in range(population_size)
-            )
-        else:
+        if (
+            initial_configuration is None
+            and population_size > _MAX_PER_AGENT_INIT
+            and type(protocol).initial_configuration
+            is FiniteStateProtocol.initial_configuration
+        ):
             raise SimulationError(
-                f"building an initial configuration from per-agent initial_state "
-                f"calls would cost O(n) at n={population_size}; pass "
-                f"initial_configuration explicitly (CompiledCRN.build does)"
+                f"{protocol.describe()} builds its initial configuration from "
+                f"per-agent initial_state calls, which would cost O(n) at "
+                f"n={population_size}; override initial_configuration(n) to "
+                f"build the counts directly"
             )
         self._counts = np.zeros(self.system.num_species, dtype=np.float64)
-        for state, count in source.items():
-            try:
-                self._counts[self.system.index[state]] = count
-            except KeyError:
-                raise SimulationError(
-                    f"initial configuration contains state {state!r} outside "
-                    f"the protocol's state set"
-                ) from None
+        for state, count in starting_configuration(
+            protocol, population_size, initial_configuration
+        ).items():
+            self._counts[self.system.index[state]] = count
         self._seen = self._counts > 0.0
         self._ode_fractional = False
 

@@ -9,15 +9,21 @@ operations the rest of the library needs:
 * comparison ``<=`` (used in the Dickson's-lemma argument of the
   impossibility proof), and
 * application of transitions for the count-based engine.
+
+:func:`starting_configuration` is the one place where the engines resolve
+and validate the configuration they start from.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Hashable, Iterable, Iterator, Mapping
+from typing import TYPE_CHECKING, Hashable, Iterable, Iterator, Mapping
 
-from repro.exceptions import ConfigurationError
+from repro.exceptions import ConfigurationError, SimulationError
+
+if TYPE_CHECKING:
+    from repro.protocols.base import FiniteStateProtocol
 
 
 @dataclass(frozen=True)
@@ -179,3 +185,36 @@ class Configuration:
             self.counts.items(), key=lambda item: repr(item[0])
         ))
         return f"Configuration({{{inner}}})"
+
+
+def starting_configuration(
+    protocol: "FiniteStateProtocol",
+    population_size: int,
+    initial_configuration: Configuration | None = None,
+) -> Configuration:
+    """The validated configuration an engine for ``protocol`` starts from.
+
+    ``initial_configuration`` when given, else
+    ``protocol.initial_configuration(population_size)``.
+
+    Raises
+    ------
+    SimulationError
+        If the configuration does not hold exactly ``population_size``
+        agents, or holds a state outside ``protocol.states()``.
+    """
+    if initial_configuration is None:
+        initial_configuration = protocol.initial_configuration(population_size)
+    if initial_configuration.size != population_size:
+        raise SimulationError(
+            f"initial configuration has size {initial_configuration.size}, "
+            f"expected {population_size}"
+        )
+    known = set(protocol.states())
+    for state in initial_configuration:
+        if state not in known:
+            raise SimulationError(
+                f"initial configuration contains state {state!r} outside "
+                f"the protocol's state set"
+            )
+    return initial_configuration

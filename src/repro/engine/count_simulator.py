@@ -37,7 +37,7 @@ from bisect import bisect_right
 from collections import Counter
 from typing import Callable, Hashable
 
-from repro.engine.configuration import Configuration
+from repro.engine.configuration import Configuration, starting_configuration
 from repro.engine.running import (
     CountTracePoint,
     run_until_predicate,
@@ -60,14 +60,15 @@ class CountSimulator:
     protocol:
         The finite-state protocol to simulate.
     population_size:
-        Number of agents.  The initial configuration is built from
-        ``protocol.initial_state(agent_id)`` unless ``initial_configuration``
-        is supplied.
+        Number of agents.  The initial configuration is
+        ``protocol.initial_configuration(population_size)`` unless
+        ``initial_configuration`` is supplied.
     seed:
         Seed for the random source.
     initial_configuration:
         Optional explicit starting configuration; its size must equal
-        ``population_size``.
+        ``population_size`` and every state must belong to the protocol's
+        declared state set.
     scheduler:
         Count-level scheduling policy: a registered scheduler name or a
         :class:`~repro.engine.scheduler.SchedulerSpec`.  Defaults to
@@ -90,17 +91,9 @@ class CountSimulator:
         self.protocol = protocol
         self.population_size = population_size
         self.rng = RandomSource(seed=seed)
-        if initial_configuration is not None:
-            if initial_configuration.size != population_size:
-                raise SimulationError(
-                    f"initial configuration has size {initial_configuration.size}, "
-                    f"expected {population_size}"
-                )
-            self._counts: Counter = initial_configuration.to_counter()
-        else:
-            self._counts = Counter(
-                protocol.initial_state(agent_id) for agent_id in range(population_size)
-            )
+        self._counts: Counter = starting_configuration(
+            protocol, population_size, initial_configuration
+        ).to_counter()
         self.scheduler_spec = SchedulerSpec.coerce(scheduler)
         # Raises SimulationError for per-agent policies, which cannot be
         # count-compressed; None means uniform (the exact integer fast path).

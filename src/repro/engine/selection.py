@@ -54,7 +54,7 @@ from typing import Callable, Hashable, Mapping, Union
 from repro.backend import ArrayBackend, resolve_backend
 from repro.crn.multiscale import MultiscaleSimulator
 from repro.engine.batched_simulator import BatchedCountSimulator
-from repro.engine.configuration import Configuration
+from repro.engine.configuration import Configuration, starting_configuration
 from repro.engine.count_simulator import CountSimulator
 from repro.engine.running import (
     CountTracePoint,
@@ -202,11 +202,9 @@ class CountingSimulationAdapter:
         self.population_size = population_size
         initial_states = None
         if initial_configuration is not None:
-            if initial_configuration.size != population_size:
-                raise SimulationError(
-                    f"initial configuration has size {initial_configuration.size}, "
-                    f"expected {population_size}"
-                )
+            initial_configuration = starting_configuration(
+                protocol, population_size, initial_configuration
+            )
             initial_states = [
                 state
                 for state, count in sorted(

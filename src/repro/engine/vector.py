@@ -53,7 +53,7 @@ from typing import Callable, Hashable, Sequence
 import numpy as np
 
 from repro.backend import ArrayBackend, resolve_backend
-from repro.engine.configuration import Configuration
+from repro.engine.configuration import Configuration, starting_configuration
 from repro.engine.scheduler import RoundScheduler, SchedulerSpec
 from repro.exceptions import ConvergenceError, SimulationError
 from repro.obs.recorder import RECORDER as _REC
@@ -518,11 +518,9 @@ class VectorFiniteStateSimulator:
         self.backend = resolve_backend(backend)
         initial_states = None
         if initial_configuration is not None:
-            if initial_configuration.size != population_size:
-                raise SimulationError(
-                    f"initial configuration has size {initial_configuration.size}, "
-                    f"expected {population_size}"
-                )
+            initial_configuration = starting_configuration(
+                protocol, population_size, initial_configuration
+            )
             initial_states = [
                 state
                 for state, count in sorted(

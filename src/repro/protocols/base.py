@@ -25,11 +25,25 @@ A :class:`FiniteStateProtocol` can always be lifted to an
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from collections import Counter
 from dataclasses import dataclass
-from typing import Any, Callable, Generic, Hashable, Iterable, Mapping, Sequence, TypeVar
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Callable,
+    Generic,
+    Hashable,
+    Iterable,
+    Mapping,
+    Sequence,
+    TypeVar,
+)
 
 from repro.exceptions import ProtocolError
 from repro.rng import RandomSource
+
+if TYPE_CHECKING:
+    from repro.engine.configuration import Configuration
 
 StateT = TypeVar("StateT")
 HashableState = Hashable
@@ -139,6 +153,23 @@ class FiniteStateProtocol(ABC):
     def output(self, state: Hashable) -> ProtocolOutput:
         """Output exposed by an agent in ``state`` (default: the state itself)."""
         return state
+
+    def initial_configuration(self, population_size: int) -> "Configuration":
+        """The counts of :meth:`initial_state` over agents ``0 .. n-1``.
+
+        The count-level engines (count, batched, multiscale) start from this
+        configuration.  The default calls :meth:`initial_state` once per
+        agent, which is ``O(n)`` Python; protocols whose initial states
+        follow a closed form override it in ``O(|states|)``.  An override
+        must equal ``Counter(initial_state(i) for i in range(n))`` exactly,
+        insertion order (first appearance) included: the count engine's
+        sampling order, and so its random stream, follows it.
+        """
+        from repro.engine.configuration import Configuration
+
+        return Configuration(
+            Counter(self.initial_state(agent_id) for agent_id in range(population_size))
+        )
 
     # -- derived helpers -----------------------------------------------------
 

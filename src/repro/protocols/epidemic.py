@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from typing import Hashable, Sequence
 
+from repro.engine.configuration import Configuration
 from repro.exceptions import ProtocolError
 from repro.protocols.base import FiniteStateProtocol, RandomizedTransition
 
@@ -67,6 +68,15 @@ class EpidemicProtocol(FiniteStateProtocol):
         if agent_id < self.initial_infected:
             return EpidemicState.INFECTED
         return EpidemicState.SUSCEPTIBLE
+
+    def initial_configuration(self, population_size: int) -> Configuration:
+        infected = min(self.initial_infected, population_size)
+        return Configuration(
+            {
+                EpidemicState.INFECTED: infected,
+                EpidemicState.SUSCEPTIBLE: population_size - infected,
+            }
+        )
 
     def transitions(
         self, receiver: Hashable, sender: Hashable

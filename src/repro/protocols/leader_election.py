@@ -33,6 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Hashable, Sequence
 
+from repro.engine.configuration import Configuration
 from repro.exceptions import ProtocolError
 from repro.protocols.base import (
     AgentProtocol,
@@ -88,6 +89,9 @@ class FiniteStatePairwiseElimination(FiniteStateProtocol):
 
     def initial_state(self, agent_id: int) -> Hashable:
         return self.LEADER
+
+    def initial_configuration(self, population_size: int) -> Configuration:
+        return Configuration.uniform(self.LEADER, population_size)
 
     def transitions(
         self, receiver: Hashable, sender: Hashable
@@ -254,6 +258,9 @@ class FiniteStateCounterTermination(FiniteStateProtocol):
 
     def initial_state(self, agent_id: int) -> Hashable:
         return CounterLeaderState()
+
+    def initial_configuration(self, population_size: int) -> Configuration:
+        return Configuration.uniform(CounterLeaderState(), population_size)
 
     def transitions(
         self, receiver: Hashable, sender: Hashable

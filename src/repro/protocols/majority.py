@@ -25,8 +25,17 @@ from __future__ import annotations
 
 from typing import Hashable, Sequence
 
+import numpy as np
+
+from repro.engine.configuration import Configuration
 from repro.exceptions import ProtocolError
 from repro.protocols.base import FiniteStateProtocol, RandomizedTransition
+
+#: Multiplier of the deterministic id striping (the golden-ratio conjugate).
+_STRIPE = 0.6180339887498949
+#: Agent ids per numpy block when counting the striping; bounds the
+#: temporary arrays independently of ``n``.
+_STRIPE_BLOCK = 8192
 
 
 class ApproximateMajorityProtocol(FiniteStateProtocol):
@@ -57,8 +66,21 @@ class ApproximateMajorityProtocol(FiniteStateProtocol):
     def initial_state(self, agent_id: int) -> Hashable:
         # Deterministic striping: agent ids are assigned X at rate x_fraction.
         # Using the fractional part keeps the margin stable for any n.
-        position = (agent_id * 0.6180339887498949) % 1.0
+        position = (agent_id * _STRIPE) % 1.0
         return self.OPINION_X if position < self.x_fraction else self.OPINION_Y
+
+    def initial_configuration(self, population_size: int) -> Configuration:
+        # The same float arithmetic as initial_state, one block of ids at a
+        # time.  Agent 0 sits at position 0.0 and so holds X whenever
+        # x_fraction > 0: listing X first keeps first-appearance order, and
+        # a zero X count is dropped by Configuration.
+        x_count = 0
+        for start in range(0, population_size, _STRIPE_BLOCK):
+            ids = np.arange(start, min(start + _STRIPE_BLOCK, population_size))
+            x_count += int(np.count_nonzero((ids * _STRIPE) % 1.0 < self.x_fraction))
+        return Configuration(
+            {self.OPINION_X: x_count, self.OPINION_Y: population_size - x_count}
+        )
 
     def transitions(
         self, receiver: Hashable, sender: Hashable
