@@ -15,8 +15,9 @@ import math
 import pytest
 
 from benchmarks.conftest import PAPER_PARAMS, TABLE_SIZES
-from repro.core.array_simulator import ArrayLogSizeSimulator, expected_convergence_time
+from repro.core.array_simulator import LogSizeVectorProtocol, expected_convergence_time
 from repro.engine.simulator import Simulation
+from repro.engine.vector import VectorSimulator
 from repro.protocols.approximate_counting import (
     AlistarhApproximateCounting,
     approximate_counting_converged,
@@ -37,8 +38,8 @@ def bench_baseline_vs_paper_protocol(benchmark, population_size):
         )
         baseline_value = float(baseline_protocol.output(baseline.states[0]))
 
-        paper = ArrayLogSizeSimulator(
-            population_size, params=PAPER_PARAMS, seed=23
+        paper = VectorSimulator(
+            LogSizeVectorProtocol(PAPER_PARAMS), population_size, seed=23
         ).run_until_done(
             max_parallel_time=4
             * expected_convergence_time(population_size, PAPER_PARAMS)

@@ -15,7 +15,8 @@ import math
 import pytest
 
 from benchmarks.conftest import PAPER_PARAMS, TABLE_SIZES
-from repro.core.array_simulator import ArrayLogSizeSimulator, expected_convergence_time
+from repro.core.array_simulator import LogSizeVectorProtocol, expected_convergence_time
+from repro.engine.vector import VectorSimulator
 
 
 @pytest.mark.parametrize("population_size", TABLE_SIZES)
@@ -23,10 +24,10 @@ def bench_state_complexity(benchmark, population_size):
     holder = {}
 
     def run_and_measure():
-        simulator = ArrayLogSizeSimulator(
-            population_size, params=PAPER_PARAMS, seed=11
+        simulator = VectorSimulator(
+            LogSizeVectorProtocol(PAPER_PARAMS), population_size, seed=11
         )
-        simulator.run_until_done(
+        holder["outcome"] = simulator.run_until_done(
             max_parallel_time=4
             * expected_convergence_time(population_size, PAPER_PARAMS)
         )
@@ -37,12 +38,12 @@ def bench_state_complexity(benchmark, population_size):
 
     simulator = holder["simulator"]
     log4 = math.log2(population_size) ** 4
-    state_bound = simulator.distinct_state_bound()
+    state_bound = holder["outcome"].distinct_state_bound
     benchmark.extra_info["population_size"] = population_size
-    benchmark.extra_info["max_log_size2"] = simulator._max_log_size2
-    benchmark.extra_info["max_gr"] = simulator._max_gr
-    benchmark.extra_info["max_time"] = simulator._max_time
-    benchmark.extra_info["max_epoch"] = simulator._max_epoch
+    benchmark.extra_info["max_log_size2"] = simulator.fields.max_observed("log_size2")
+    benchmark.extra_info["max_gr"] = simulator.fields.max_observed("gr")
+    benchmark.extra_info["max_time"] = simulator.fields.max_observed("time")
+    benchmark.extra_info["max_epoch"] = simulator.fields.max_observed("epoch")
     benchmark.extra_info["state_bound"] = state_bound
     benchmark.extra_info["log2_n_to_the_4"] = log4
     benchmark.extra_info["ratio_to_log4"] = state_bound / log4
@@ -50,7 +51,7 @@ def bench_state_complexity(benchmark, population_size):
     # Lemma 3.9's field ranges (with the paper's constants): logSize2 and gr at
     # most ~2 log n + O(1), epoch at most ~11 log n, time at most ~191 log n.
     log_n = math.log2(population_size)
-    assert simulator._max_log_size2 <= 2 * log_n + 4
-    assert simulator._max_gr <= 2 * log_n + 4
-    assert simulator._max_epoch <= 11 * log_n + 5
-    assert simulator._max_time <= 240 * log_n
+    assert simulator.fields.max_observed("log_size2") <= 2 * log_n + 4
+    assert simulator.fields.max_observed("gr") <= 2 * log_n + 4
+    assert simulator.fields.max_observed("epoch") <= 11 * log_n + 5
+    assert simulator.fields.max_observed("time") <= 240 * log_n

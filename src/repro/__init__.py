@@ -24,7 +24,7 @@ Quickstart
 """
 
 from repro._version import __version__
-from repro.core.array_simulator import ArrayLogSizeSimulator, ArraySimulationResult
+from repro.core.array_simulator import ArraySimulationResult
 from repro.core.leader_terminating import LeaderTerminatingSizeEstimation
 from repro.core.log_size_estimation import LogSizeEstimationProtocol
 from repro.core.parameters import ProtocolParameters
@@ -38,7 +38,6 @@ from repro.rng import RandomSource
 
 __all__ = [
     "__version__",
-    "ArrayLogSizeSimulator",
     "ArraySimulationResult",
     "LeaderTerminatingSizeEstimation",
     "LogSizeEstimationProtocol",

@@ -77,7 +77,7 @@ from repro.backend import (
     backend_availability,
     get_backend,
 )
-from repro.core.array_simulator import ArrayLogSizeSimulator, expected_convergence_time
+from repro.core.array_simulator import LogSizeVectorProtocol, expected_convergence_time
 from repro.core.leader_terminating import LeaderTerminatingSizeEstimation
 from repro.core.parameters import ProtocolParameters
 from repro.engine.scheduler import (
@@ -91,6 +91,7 @@ from repro.engine.selection import (
     build_engine,
     engine_scheduler_matrix,
 )
+from repro.engine.vector import VectorSimulator
 from repro.exceptions import ConvergenceError, SimulationError
 from repro.crn import (
     CRN,
@@ -264,9 +265,7 @@ def _scheduler_label(
 
 def _cmd_estimate(args: argparse.Namespace) -> int:
     params = _parameters_from_args(args)
-    simulator = ArrayLogSizeSimulator(
-        population_size=args.n, params=params, seed=args.seed
-    )
+    simulator = VectorSimulator(LogSizeVectorProtocol(params), args.n, seed=args.seed)
     outcome = simulator.run_until_done(
         max_parallel_time=args.budget_factor
         * expected_convergence_time(args.n, params)

@@ -50,7 +50,6 @@ from repro.core.probability_one import ProbabilityOneUpperBoundProtocol
 from repro.core.phase_clock import LeaderDrivenPhaseClock, LeaderlessPhaseClock
 from repro.core.composition import RestartComposition, StagedComposition
 from repro.core.array_simulator import (
-    ArrayLogSizeSimulator,
     ArraySimulationResult,
     LogSizeVectorProtocol,
 )
@@ -74,7 +73,6 @@ __all__ = [
     "LeaderlessPhaseClock",
     "RestartComposition",
     "StagedComposition",
-    "ArrayLogSizeSimulator",
     "ArraySimulationResult",
     "LogSizeVectorProtocol",
     "LeaderTerminatingVectorProtocol",

@@ -65,30 +65,24 @@ def run_until_predicate(
     executed = 0
     if predicate(simulator):
         return simulator.parallel_time
-    if _REC.enabled:
-        # Instrumented twin of the loop below: the telemetry split (step
-        # time vs convergence-check time) costs three monotonic reads per
-        # check_interval chunk, never per interaction.  The disabled branch
-        # is byte-for-byte the historical loop.
-        while executed < budget:
-            chunk = min(interval, budget - executed)
+    # Telemetry splits step time from convergence-check time with three
+    # clock reads per check_interval chunk, never per interaction.
+    timed = _REC.enabled
+    while executed < budget:
+        chunk = min(interval, budget - executed)
+        if timed:
             t0 = _REC.now_ns()
-            simulator.run_interactions(chunk)
+        simulator.run_interactions(chunk)
+        executed += chunk
+        if timed:
             t1 = _REC.now_ns()
-            executed += chunk
-            hit = predicate(simulator)
+        hit = predicate(simulator)
+        if timed:
             _REC.add_time("engine.step", t1 - t0)
             _REC.add_time("engine.convergence_check", _REC.now_ns() - t1)
             _REC.count("engine.convergence_checks")
-            if hit:
-                return simulator.parallel_time
-    else:
-        while executed < budget:
-            chunk = min(interval, budget - executed)
-            simulator.run_interactions(chunk)
-            executed += chunk
-            if predicate(simulator):
-                return simulator.parallel_time
+        if hit:
+            return simulator.parallel_time
     raise ConvergenceError(
         f"predicate did not hold within {max_parallel_time} units of parallel time "
         f"(n={simulator.population_size})"

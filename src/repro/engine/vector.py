@@ -308,35 +308,25 @@ class VectorSimulator:
 
     def run_round(self) -> None:
         """Execute one synchronous round of scheduler-matched pairs."""
-        if _REC.enabled:
-            # Telemetry split: scheduler draw vs protocol apply, timed per
-            # round (each is Theta(n) numpy work, so two monotonic reads per
-            # round are noise).  The disabled path below is untouched.
+        # Telemetry splits the round into scheduler draw and protocol apply
+        # (each is Theta(n) numpy work, so two clock reads per round are
+        # noise); the guards cover only the clock reads and counters.
+        timed = _REC.enabled
+        if timed:
             t0 = _REC.now_ns()
-            rec, sen = self.scheduler.draw_round(self.rng, self.parallel_time)
+        rec, sen = self.scheduler.draw_round(self.rng, self.parallel_time)
+        if timed:
             t1 = _REC.now_ns()
             _REC.add_time("scheduler.draw_round", t1 - t0)
             _REC.count("scheduler.rounds")
-            if rec.size:
-                self.protocol.apply_round(self.fields, rec, sen, self.rng)
-                _REC.add_time("engine.apply_round", _REC.now_ns() - t1)
-                self._empty_rounds = 0
-            else:
-                _REC.count("scheduler.empty_rounds")
-                self._empty_rounds += 1
-                if self._empty_rounds >= self.MAX_CONSECUTIVE_EMPTY_ROUNDS:
-                    raise SimulationError(
-                        f"round scheduler emitted no pairs for "
-                        f"{self._empty_rounds} consecutive rounds (n={self.n})"
-                    )
-            self.rounds += 1
-            self._interactions += int(rec.size)
-            return
-        rec, sen = self.scheduler.draw_round(self.rng, self.parallel_time)
         if rec.size:
             self.protocol.apply_round(self.fields, rec, sen, self.rng)
+            if timed:
+                _REC.add_time("engine.apply_round", _REC.now_ns() - t1)
             self._empty_rounds = 0
         else:
+            if timed:
+                _REC.count("scheduler.empty_rounds")
             self._empty_rounds += 1
             if self._empty_rounds >= self.MAX_CONSECUTIVE_EMPTY_ROUNDS:
                 raise SimulationError(
@@ -386,29 +376,22 @@ class VectorSimulator:
         budget = int(max_parallel_time * self.n)
         half = self.n // 2
         convergence_time: float | None = None
-        if _REC.enabled:
-            # Instrumented twin: attribute the per-round convergence check
-            # (and range sampling) separately from the draw/apply work that
-            # run_round() times itself.
-            while self.rounds * half <= budget:
-                self.run_round()
+        # Telemetry attributes the per-round convergence check (and range
+        # sampling) separately from the draw/apply work run_round() times.
+        timed = _REC.enabled
+        while self.rounds * half <= budget:
+            self.run_round()
+            if timed:
                 t0 = _REC.now_ns()
-                if self.rounds % check_every_rounds == 0:
-                    self.fields.sample_ranges()
-                done = self.protocol.all_done(self.fields)
+            if self.rounds % check_every_rounds == 0:
+                self.fields.sample_ranges()
+            done = self.protocol.all_done(self.fields)
+            if timed:
                 _REC.add_time("engine.convergence_check", _REC.now_ns() - t0)
                 _REC.count("engine.convergence_checks")
-                if done:
-                    convergence_time = self.parallel_time
-                    break
-        else:
-            while self.rounds * half <= budget:
-                self.run_round()
-                if self.rounds % check_every_rounds == 0:
-                    self.fields.sample_ranges()
-                if self.protocol.all_done(self.fields):
-                    convergence_time = self.parallel_time
-                    break
+            if done:
+                convergence_time = self.parallel_time
+                break
         self.fields.sample_ranges()
         if convergence_time is None and raise_on_timeout:
             raise ConvergenceError(

@@ -29,7 +29,6 @@ from repro.harness.results import (
 )
 from repro.harness.experiment import (
     ExperimentSpec,
-    run_array_experiment,
     run_finite_state_experiment,
     run_sequential_experiment,
 )
@@ -66,7 +65,6 @@ __all__ = [
     "run_trial",
     "run_trials",
     "ExperimentSpec",
-    "run_array_experiment",
     "run_finite_state_experiment",
     "run_sequential_experiment",
     "Figure2Point",

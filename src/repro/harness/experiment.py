@@ -1,13 +1,12 @@
 """Repeatable experiment runners.
 
-For the size-estimation protocol, two runners are provided, one per engine:
-
-* :func:`run_sequential_experiment` — the agent-level engine (exact paper
-  scheduler), used for small populations and for cross-validating the
-  vectorised engine;
-* :func:`run_array_experiment` — the vectorised engine
-  (:class:`~repro.core.array_simulator.ArrayLogSizeSimulator`), used for the
-  Figure 2 sweep at larger populations.
+For the size-estimation protocol on the agent-level engine (exact paper
+scheduler, small populations, cross-validation of the vector engine),
+:func:`run_sequential_experiment` sweeps an :class:`ExperimentSpec`.  On the
+vector engine the same protocol is the ``figure2`` vector workload: build
+its trials with :func:`~repro.harness.parallel.build_vector_trials` and run
+them with :func:`~repro.harness.parallel.run_trials`, as
+:func:`~repro.harness.figures.reproduce_figure2` does.
 
 For classic finite-state workloads (epidemic, majority, leader election,
 counter termination), :func:`run_finite_state_experiment` sweeps any
@@ -15,15 +14,16 @@ counter termination), :func:`run_finite_state_experiment` sweeps any
 selectable engine (``"agent"``, ``"count"`` or ``"batched"`` — see
 :func:`repro.engine.selection.build_engine`).
 
-All three runners expand their sweep into picklable
+Both runners expand their sweep into picklable
 :class:`~repro.harness.parallel.TrialSpec` lists and execute them through
 :func:`~repro.harness.parallel.run_trials`, so every sweep can fan out over a
 worker pool (``workers > 1``) and resume from a result store (``store=`` —
 a :mod:`repro.store` URL: ``jsonl:DIR`` for one local driver, ``sqlite:PATH``
 or ``http://HOST:PORT`` so several drivers on several hosts can cooperate on
 one sweep) — results are identical record-for-record to the serial
-``workers=1`` path.  All runners return
-:class:`~repro.harness.results.RunRecord` lists so downstream figure/table
+``workers=1`` path.  Both return a
+:class:`~repro.harness.results.SweepResult` of
+:class:`~repro.harness.results.RunRecord` entries, so downstream figure/table
 builders do not care which engine produced the data.
 """
 
@@ -36,7 +36,6 @@ from repro.core.array_simulator import expected_convergence_time
 from repro.core.parameters import ProtocolParameters
 from repro.exceptions import SimulationError
 from repro.harness.parallel import (
-    KIND_ARRAY,
     KIND_SEQUENTIAL,
     TrialSpec,
     build_finite_state_trials,
@@ -118,19 +117,6 @@ class ExperimentSpec:
             for size_index, population_size in enumerate(self.population_sizes)
             for run_index in range(self.runs_per_size)
         ]
-
-
-def run_array_experiment(
-    spec: ExperimentSpec,
-    name: str = "figure2-array",
-    workers: int = 1,
-    store=None,
-) -> SweepResult:
-    """Run the sweep on the vectorised engine and collect run records."""
-    outcome = run_trials(
-        spec.trials(KIND_ARRAY, "array"), workers=workers, store=store
-    )
-    return SweepResult(name=name, records=outcome.records)
 
 
 def run_finite_state_experiment(

@@ -6,10 +6,10 @@ Figure 2 of the paper (Appendix C) plots, for population sizes
 error 2 of ``log2 n`` in every run.  The population axis is logarithmic, so
 the ``O(log^2 n)`` bound appears as a gently super-linear curve.
 
-:func:`reproduce_figure2` runs the same sweep on the vectorised engine (the
-sequential engine is too slow beyond ~10^3 agents in pure Python; see
-``DESIGN.md``), returning per-size statistics plus the raw points, a CSV
-export and an ASCII rendering of the scatter.
+:func:`reproduce_figure2` runs the same sweep as ``figure2`` trials on the
+vector engine (the sequential engine is too slow beyond ~10^3 agents in pure
+Python; see ``DESIGN.md``), returning per-size statistics plus the raw
+points, a CSV export and an ASCII rendering of the scatter.
 """
 
 from __future__ import annotations
@@ -18,8 +18,9 @@ import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
+from repro.core.array_simulator import expected_convergence_time
 from repro.core.parameters import ProtocolParameters
-from repro.harness.experiment import ExperimentSpec, run_array_experiment
+from repro.harness.parallel import build_vector_trials, run_trials
 from repro.harness.reporting import (
     PHASE_ORDER,
     format_table,
@@ -237,7 +238,7 @@ def reproduce_figure2(
     base_seed: int = 2019,
     time_budget_factor: float = 4.0,
 ) -> Figure2Result:
-    """Run the Figure 2 sweep on the vectorised engine.
+    """Run the Figure 2 sweep as ``figure2`` trials on the vector engine.
 
     Parameters
     ----------
@@ -249,19 +250,23 @@ def reproduce_figure2(
     params:
         Protocol constants (paper values by default).
     base_seed:
-        Base seed for reproducibility.
+        Base seed; run ``j`` at size index ``i`` uses
+        ``spawn_seed(base_seed, i, j)``.
     time_budget_factor:
         Safety factor over the a-priori convergence-time estimate.
     """
-    spec = ExperimentSpec(
-        population_sizes=list(population_sizes),
-        runs_per_size=runs_per_size,
-        params=params or ProtocolParameters.paper(),
+    params = params or ProtocolParameters.paper()
+    specs = build_vector_trials(
+        population_sizes,
+        runs_per_size,
+        "figure2",
+        params,
         base_seed=base_seed,
-        time_budget_factor=time_budget_factor,
+        max_parallel_time=lambda n: time_budget_factor
+        * expected_convergence_time(n, params),
     )
-    sweep = run_array_experiment(spec, name="figure2")
-    return figure2_from_sweep(sweep, spec.params)
+    sweep = SweepResult(name="figure2", records=run_trials(specs).records)
+    return figure2_from_sweep(sweep, params)
 
 
 def figure2_from_sweep(sweep: SweepResult, params: ProtocolParameters) -> Figure2Result:

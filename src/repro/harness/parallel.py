@@ -57,7 +57,6 @@ from repro.protocols.base import FiniteStateProtocol
 from repro.rng import spawn_seed
 
 __all__ = [
-    "KIND_ARRAY",
     "KIND_CRN",
     "KIND_FINITE_STATE",
     "KIND_SEQUENTIAL",
@@ -81,11 +80,10 @@ __all__ = [
 
 #: Trial kinds understood by :func:`run_trial`.
 KIND_FINITE_STATE = "finite-state"
-KIND_ARRAY = "array"
 KIND_SEQUENTIAL = "sequential"
 KIND_VECTOR = "vector"
 KIND_CRN = "crn"
-_KINDS = (KIND_FINITE_STATE, KIND_ARRAY, KIND_SEQUENTIAL, KIND_VECTOR, KIND_CRN)
+_KINDS = (KIND_FINITE_STATE, KIND_SEQUENTIAL, KIND_VECTOR, KIND_CRN)
 
 
 # ---------------------------------------------------------------------------
@@ -349,9 +347,9 @@ class TrialSpec:
     kind:
         ``"finite-state"`` (any registered/supplied finite-state protocol on
         a selectable engine), ``"vector"`` (a registered
-        :data:`VECTOR_WORKLOADS` kernel on the vector engine), ``"array"``
-        (vectorised ``Log-Size-Estimation``; the historical alias for the
-        ``"figure2"`` vector workload), or ``"sequential"`` (agent-level
+        :data:`VECTOR_WORKLOADS` kernel on the vector engine; Protocol 1 is
+        the ``"figure2"`` workload), ``"crn"`` (a chemical reaction network,
+        see :func:`build_crn_trials`), or ``"sequential"`` (agent-level
         ``Log-Size-Estimation``).
     population_size / size_index / run_index / base_seed:
         Trial coordinates; the per-trial seed is
@@ -573,7 +571,6 @@ class TrialSpec:
     #: defer to the chosen engine's capability).
     _KIND_SCHEDULER_CAPABILITY = {
         KIND_VECTOR: "rounds",
-        KIND_ARRAY: "rounds",
         KIND_SEQUENTIAL: "pair",
     }
 
@@ -970,32 +967,6 @@ def _run_finite_state_trial(spec: TrialSpec) -> RunRecord:
     )
 
 
-def _run_array_trial(spec: TrialSpec) -> RunRecord:
-    from repro.core.array_simulator import ArrayLogSizeSimulator
-
-    simulator = ArrayLogSizeSimulator(
-        population_size=spec.population_size,
-        params=spec.params,
-        seed=spec.seed,
-        scheduler=spec.scheduler_spec(),
-    )
-    outcome = simulator.run_until_done(max_parallel_time=spec.max_parallel_time)
-    return RunRecord(
-        population_size=spec.population_size,
-        seed=spec.seed,
-        converged=outcome.converged,
-        convergence_time=outcome.convergence_time,
-        max_additive_error=outcome.max_additive_error,
-        extra={
-            "engine": "array",
-            "log_size2": outcome.log_size2,
-            "interactions": outcome.interactions,
-            "distinct_state_bound": outcome.distinct_state_bound,
-            "final_estimate_mean": outcome.final_estimate_mean,
-        },
-    )
-
-
 def _run_sequential_trial(spec: TrialSpec) -> RunRecord:
     from repro.core.log_size_estimation import (
         LogSizeEstimationProtocol,
@@ -1130,7 +1101,6 @@ def _run_crn_trial(spec: TrialSpec) -> RunRecord:
 
 _TRIAL_RUNNERS = {
     KIND_FINITE_STATE: _run_finite_state_trial,
-    KIND_ARRAY: _run_array_trial,
     KIND_SEQUENTIAL: _run_sequential_trial,
     KIND_VECTOR: _run_vector_trial,
     KIND_CRN: _run_crn_trial,
@@ -1148,28 +1118,29 @@ def run_trial(spec: TrialSpec) -> RunRecord:
     and the simulated trajectory is bit-identical either way: telemetry
     only observes.
     """
-    if not _REC.enabled:
-        return _TRIAL_RUNNERS[spec.kind](spec)
-    mark = _REC.mark()
+    timed = _REC.enabled
+    if timed:
+        mark = _REC.mark()
     record = _TRIAL_RUNNERS[spec.kind](spec)
-    end_ns = _REC.now_ns()
-    delta = _REC.since(mark)
-    _REC.add_span(
-        "trial",
-        mark.t_ns,
-        end_ns,
-        category="sweep",
-        args={
-            "kind": spec.kind,
-            "engine": spec.engine,
-            "n": spec.population_size,
-            "seed": spec.seed,
-        },
-    )
-    record.extra[TELEMETRY_KEY] = trial_manifest(spec, delta)
-    # Workers persist their span events per trial so a crashed worker
-    # loses at most one trial's trace; a no-op without a spool directory.
-    _REC.flush_spool()
+    if timed:
+        end_ns = _REC.now_ns()
+        delta = _REC.since(mark)
+        _REC.add_span(
+            "trial",
+            mark.t_ns,
+            end_ns,
+            category="sweep",
+            args={
+                "kind": spec.kind,
+                "engine": spec.engine,
+                "n": spec.population_size,
+                "seed": spec.seed,
+            },
+        )
+        record.extra[TELEMETRY_KEY] = trial_manifest(spec, delta)
+        # Workers persist their span events per trial so a crashed worker
+        # loses at most one trial's trace; a no-op without a spool directory.
+        _REC.flush_spool()
     return record
 
 

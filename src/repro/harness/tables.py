@@ -22,10 +22,12 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from repro.analysis.error_bounds import final_error_probability
-from repro.core.array_simulator import ArrayLogSizeSimulator, expected_convergence_time
+from repro.core.array_simulator import LogSizeVectorProtocol, expected_convergence_time
 from repro.core.parameters import ProtocolParameters
 from repro.engine.simulator import Simulation
+from repro.engine.vector import VectorSimulator
 from repro.exceptions import ConvergenceError
+from repro.harness.parallel import build_vector_trials, run_trials
 from repro.harness.reporting import format_table
 from repro.protocols.approximate_counting import (
     AlistarhApproximateCounting,
@@ -60,21 +62,21 @@ def accuracy_table(
         "claimed bound",
         "claimed failure prob",
     )
+    records = run_trials(
+        build_vector_trials(
+            population_sizes,
+            runs_per_size,
+            "figure2",
+            params,
+            base_seed=base_seed,
+            max_parallel_time=lambda n: time_budget_factor
+            * expected_convergence_time(n, params),
+        )
+    ).records
     rows = []
     for size_index, population_size in enumerate(population_sizes):
-        errors = []
-        for run_index in range(runs_per_size):
-            simulator = ArrayLogSizeSimulator(
-                population_size=population_size,
-                params=params,
-                seed=spawn_seed(base_seed, size_index, run_index),
-            )
-            outcome = simulator.run_until_done(
-                max_parallel_time=time_budget_factor
-                * expected_convergence_time(population_size, params)
-            )
-            if outcome.converged:
-                errors.append(outcome.max_additive_error)
+        runs = records[size_index * runs_per_size : (size_index + 1) * runs_per_size]
+        errors = [record.max_additive_error for record in runs if record.converged]
         if errors:
             rows.append(
                 (
@@ -108,23 +110,23 @@ def state_complexity_table(
     )
     rows = []
     for size_index, population_size in enumerate(population_sizes):
-        simulator = ArrayLogSizeSimulator(
-            population_size=population_size,
-            params=params,
+        simulator = VectorSimulator(
+            LogSizeVectorProtocol(params),
+            population_size,
             seed=spawn_seed(base_seed, size_index),
         )
-        simulator.run_until_done(
+        outcome = simulator.run_until_done(
             max_parallel_time=time_budget_factor
             * expected_convergence_time(population_size, params)
         )
         rows.append(
             (
                 population_size,
-                simulator._max_log_size2,
-                simulator._max_epoch,
-                simulator._max_time,
-                simulator._max_gr,
-                simulator.distinct_state_bound(),
+                simulator.fields.max_observed("log_size2"),
+                simulator.fields.max_observed("epoch"),
+                simulator.fields.max_observed("time"),
+                simulator.fields.max_observed("gr"),
+                outcome.distinct_state_bound,
                 math.log2(population_size) ** 4,
             )
         )
@@ -179,9 +181,9 @@ def baseline_comparison_table(
         for run_index in range(runs_per_size):
             # Arm 1 of the comparison; the 4-part spawn key keeps the
             # baseline (arm 0) and paper-protocol streams disjoint.
-            simulator = ArrayLogSizeSimulator(
-                population_size=population_size,
-                params=params,
+            simulator = VectorSimulator(
+                LogSizeVectorProtocol(params),
+                population_size,
                 seed=spawn_seed(base_seed, size_index, run_index, 1),
             )
             outcome = simulator.run_until_done(

@@ -49,9 +49,10 @@ MANIFEST_FIELDS = (
 
 
 def _resolved_backend_name(spec: "TrialSpec") -> str | None:
-    """The array-backend name this spec resolves to (None for engines
-    that never touch the backend seam, e.g. the sequential simulator)."""
-    if spec.kind in ("sequential", "array"):
+    """The array-backend name this spec resolves to (None for the
+    sequential simulator, the one engine that never touches the backend
+    seam)."""
+    if spec.kind == "sequential":
         return None
     requested = dict(spec.engine_options).get("backend")
     try:

@@ -357,3 +357,37 @@ class TestNominalTimeSemantics:
             SchedulerSpec("weighted", (("lazy_fraction", 0.5), ("lazy_rate", 0.1)))
         )
         assert lazy > uniform, (lazy, uniform)
+
+
+class TestVectorTelemetry:
+    """The recorder's per-round counters agree with the vector run's own work."""
+
+    def test_counters_match_trial_work(self):
+        from repro.core.parameters import ProtocolParameters
+        from repro.harness.parallel import build_vector_trials, run_trial
+        from repro.obs.manifest import TELEMETRY_KEY
+        from repro.obs.recorder import RECORDER, recording
+
+        n = 48
+        (spec,) = build_vector_trials(
+            [n], 1, "figure2", ProtocolParameters.fast_test(), base_seed=9
+        )
+        RECORDER.reset()
+        try:
+            with recording():
+                record = run_trial(spec)
+        finally:
+            RECORDER.reset()
+        assert record.converged
+        manifest = record.extra[TELEMETRY_KEY]
+        counters = manifest["counters"]
+        assert counters["scheduler.rounds"] * (n // 2) == record.extra["interactions"]
+        assert counters["engine.convergence_checks"] == counters["scheduler.rounds"]
+        assert "scheduler.empty_rounds" not in counters
+        timing = manifest["timing"]
+        for phase in (
+            "scheduler.draw_round",
+            "engine.apply_round",
+            "engine.convergence_check",
+        ):
+            assert 0.0 < timing[phase] <= timing["total"]

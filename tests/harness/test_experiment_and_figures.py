@@ -9,10 +9,11 @@ import pytest
 from repro.core.parameters import ProtocolParameters
 from repro.harness.experiment import (
     ExperimentSpec,
-    run_array_experiment,
     run_finite_state_experiment,
     run_sequential_experiment,
 )
+from repro.harness.parallel import build_vector_trials, run_trials
+from repro.harness.results import SweepResult
 from repro.protocols.epidemic import EpidemicProtocol, epidemic_completion_predicate
 from repro.harness.figures import figure2_from_sweep, reproduce_figure2
 from repro.harness.tables import (
@@ -23,6 +24,12 @@ from repro.harness.tables import (
 
 
 FAST = ProtocolParameters.fast_test()
+
+
+def figure2_sweep(sizes, runs, base_seed=0):
+    """Protocol 1 on the vector engine: the ``figure2`` workload's records."""
+    specs = build_vector_trials(sizes, runs, "figure2", FAST, base_seed=base_seed)
+    return SweepResult(name="figure2", records=run_trials(specs).records)
 
 
 class TestExperimentSpec:
@@ -41,15 +48,13 @@ class TestExperimentSpec:
 
 
 class TestRunners:
-    def test_array_experiment_produces_records(self):
-        spec = ExperimentSpec(
-            population_sizes=[64, 128], runs_per_size=2, params=FAST, base_seed=1
-        )
-        sweep = run_array_experiment(spec)
+    def test_figure2_vector_trials_produce_records(self):
+        sweep = figure2_sweep([64, 128], 2, base_seed=1)
         assert len(sweep.records) == 4
         assert sweep.population_sizes() == [64, 128]
         assert all(record.converged for record in sweep.records)
-        assert all(record.extra["engine"] == "array" for record in sweep.records)
+        assert all(record.extra["engine"] == "vector" for record in sweep.records)
+        assert all(record.extra["protocol"] == "figure2" for record in sweep.records)
 
     def test_sequential_experiment_produces_records(self):
         spec = ExperimentSpec(
@@ -141,8 +146,7 @@ class TestFigure2:
         assert slope > 0
 
     def test_figure2_from_sweep_counts_failures(self):
-        spec = ExperimentSpec(population_sizes=[64], runs_per_size=1, params=FAST)
-        sweep = run_array_experiment(spec)
+        sweep = figure2_sweep([64], 1)
         sweep.records[0] = type(sweep.records[0])(
             population_size=64,
             seed=0,
@@ -155,8 +159,7 @@ class TestFigure2:
     def test_non_converged_runs_reported_per_size_not_dropped(self):
         """Regression: non-converged runs used to silently shrink the table's
         ``runs`` column below the requested runs_per_size."""
-        spec = ExperimentSpec(population_sizes=[64, 96], runs_per_size=2, params=FAST)
-        sweep = run_array_experiment(spec)
+        sweep = figure2_sweep([64, 96], 2)
         # Mark one of the two n=96 runs as budget-exhausted.
         failed_index = next(
             index
@@ -189,8 +192,7 @@ class TestFigure2:
         assert failed_rows[0].endswith(",")
 
     def test_all_runs_failed_at_a_size_keeps_the_size_visible(self):
-        spec = ExperimentSpec(population_sizes=[64], runs_per_size=1, params=FAST)
-        sweep = run_array_experiment(spec)
+        sweep = figure2_sweep([64], 1)
         sweep.records[0] = type(sweep.records[0])(
             population_size=64,
             seed=0,
@@ -204,8 +206,7 @@ class TestFigure2:
         assert "no converged runs" in result.ascii_plot()
 
     def test_growth_exponent_skips_sizes_with_no_converged_runs(self):
-        spec = ExperimentSpec(population_sizes=[64, 96], runs_per_size=1, params=FAST)
-        sweep = run_array_experiment(spec)
+        sweep = figure2_sweep([64, 96], 1)
         failed_index = next(
             index
             for index, record in enumerate(sweep.records)
@@ -244,6 +245,39 @@ class TestTables:
         row = table.rows[0]
         assert row[0] == 64
         assert row[4] == 5.7
+
+
+class TestGoldenTableRows:
+    """Rows pinned from the tables' earlier per-run engine facade.
+
+    The accuracy table now runs ``figure2`` vector trials and the other two
+    tables drive ``VectorSimulator(LogSizeVectorProtocol(...))`` directly;
+    the seeds and budgets are unchanged, so every row must be too.
+    """
+
+    def test_accuracy_rows(self):
+        table = accuracy_table([64, 256], runs_per_size=3, params=FAST, base_seed=7)
+        assert [row[:4] for row in table.rows] == [
+            (64, 3, pytest.approx(1.2761904761904763, rel=1e-12),
+             pytest.approx(1.7857142857142856, rel=1e-12)),
+            (256, 3, pytest.approx(1.203846153846154, rel=1e-12),
+             pytest.approx(1.9615384615384617, rel=1e-12)),
+        ]
+
+    def test_state_complexity_rows(self):
+        table = state_complexity_table([64, 256], params=FAST, base_seed=11)
+        assert [row[:6] for row in table.rows] == [
+            (64, 8, 16, 64, 9, 99450),
+            (256, 13, 26, 107, 15, 653184),
+        ]
+
+    def test_baseline_comparison_row(self):
+        table = baseline_comparison_table(
+            [64], runs_per_size=2, params=FAST, base_seed=6, baseline_budget=100.0
+        )
+        assert table.rows == (
+            (64, 1.0, 6.0, pytest.approx(1.8076923076923075, rel=1e-12), 5.7),
+        )
 
 
 class TestTimingBreakdown:

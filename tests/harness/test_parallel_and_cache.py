@@ -14,7 +14,6 @@ from repro.exceptions import SimulationError
 from repro.harness.cache import record_from_dict, record_to_dict
 from repro.harness.experiment import (
     ExperimentSpec,
-    run_array_experiment,
     run_finite_state_experiment,
     run_sequential_experiment,
 )
@@ -204,12 +203,10 @@ class TestParallelMatchesSerial:
         assert len(sweep.records) == 2
         assert all(record.converged for record in sweep.records)
 
-    def test_array_experiment_parallel(self):
-        spec = ExperimentSpec(
-            population_sizes=[48, 64], runs_per_size=2, params=FAST, base_seed=1
-        )
-        serial = run_array_experiment(spec)
-        parallel = run_array_experiment(spec, workers=3)
+    def test_figure2_vector_trials_parallel(self):
+        specs = build_vector_trials([48, 64], 2, "figure2", FAST, base_seed=1)
+        serial = run_trials(specs)
+        parallel = run_trials(specs, workers=3)
         assert all(
             records_equal(left, right)
             for left, right in zip(serial.records, parallel.records)
@@ -330,7 +327,6 @@ class TestPersistenceApi:
         [
             run_trials,
             run_finite_state_experiment,
-            run_array_experiment,
             run_sequential_experiment,
             JsonlStore,
         ],
@@ -396,19 +392,25 @@ class TestCacheKeys:
         spec = ExperimentSpec(
             population_sizes=[48], runs_per_size=1, params=FAST, base_seed=3
         )
-        array_trial = spec.trials("array", "array")[0]
+        vector_trial = build_vector_trials([48], 1, "figure2", FAST, base_seed=3)[0]
         sequential_trial = spec.trials("sequential", "sequential")[0]
-        assert array_trial.cache_key() != sequential_trial.cache_key()
-        moderate = ExperimentSpec(
-            population_sizes=[48],
-            runs_per_size=1,
-            params=ProtocolParameters.moderate(),
-            base_seed=3,
-        )
-        assert (
-            moderate.trials("array", "array")[0].cache_key()
-            != array_trial.cache_key()
-        )
+        assert vector_trial.cache_key() != sequential_trial.cache_key()
+        moderate = build_vector_trials(
+            [48], 1, "figure2", ProtocolParameters.moderate(), base_seed=3
+        )[0]
+        assert moderate.cache_key() != vector_trial.cache_key()
+
+    def test_array_kind_is_rejected(self):
+        # Protocol 1 on the vector engine has one name: the figure2 workload.
+        with pytest.raises(SimulationError, match="unknown trial kind 'array'"):
+            TrialSpec(
+                kind="array",
+                population_size=48,
+                size_index=0,
+                run_index=0,
+                engine="array",
+                params=FAST,
+            )
 
 
 def _reject_constant(text):
@@ -441,16 +443,10 @@ class TestNonFiniteSerialisation:
         assert payload["extra"]["ok"] == 3
         json.dumps(payload, allow_nan=False)  # must not raise
 
-    def test_non_converged_array_trial_round_trips_strict_json(self, tmp_path):
-        spec = TrialSpec(
-            kind="array",
-            population_size=64,
-            size_index=0,
-            run_index=0,
-            base_seed=1,
-            engine="array",
-            max_parallel_time=0.5,  # far too small: the trial cannot converge
-            params=FAST,
+    def test_non_converged_figure2_trial_round_trips_strict_json(self, tmp_path):
+        # A budget far too small: the trial cannot converge.
+        (spec,) = build_vector_trials(
+            [64], 1, "figure2", FAST, base_seed=1, max_parallel_time=0.5
         )
         record = run_trial(spec)
         assert not record.converged

@@ -13,7 +13,7 @@ import math
 
 import pytest
 
-from repro.core.array_simulator import ArrayLogSizeSimulator, expected_convergence_time
+from repro.core.array_simulator import LogSizeVectorProtocol, expected_convergence_time
 from repro.core.composition import RestartComposition, stage_signal_reached
 from repro.core.leader_terminating import (
     LeaderTerminatingSizeEstimation,
@@ -27,6 +27,7 @@ from repro.core.log_size_estimation import (
 from repro.core.parameters import ProtocolParameters
 from repro.core.synthetic_coin import SyntheticCoinLogSizeEstimation, all_workers_done
 from repro.engine.simulator import Simulation
+from repro.engine.vector import VectorSimulator
 from repro.protocols.approximate_counting import AlistarhApproximateCounting
 from repro.protocols.leader_election import NonuniformCounterLeaderElection
 from repro.termination.definitions import TerminationSpec
@@ -47,10 +48,10 @@ class TestAllVariantsAgree:
         simulation.run_until(all_agents_done, max_parallel_time=50_000)
         estimates["sequential"] = estimate_error(simulation)["mean_estimate"]
 
-        array_result = ArrayLogSizeSimulator(self.N, params=self.FAST, seed=1).run_until_done(
-            max_parallel_time=5_000
-        )
-        estimates["array"] = array_result.final_estimate_mean
+        vector_result = VectorSimulator(
+            LogSizeVectorProtocol(self.FAST), self.N, seed=1
+        ).run_until_done(max_parallel_time=5_000)
+        estimates["vector"] = vector_result.final_estimate_mean
 
         coin = Simulation(SyntheticCoinLogSizeEstimation(self.FAST), self.N, seed=1)
         coin.run_until(all_workers_done, max_parallel_time=50_000)
@@ -146,12 +147,12 @@ class TestPaperConstants:
     def test_paper_constants_at_moderate_population(self):
         """One run with the paper's constants (clock 95, epochs 5).
 
-        Uses the vectorised engine; checks the Figure 2 convergence criterion
+        Uses the vector engine; checks the Figure 2 convergence criterion
         and the in-practice additive error of 2 reported in Appendix C.
         """
         params = ProtocolParameters.paper()
         n = 512
-        simulator = ArrayLogSizeSimulator(n, params=params, seed=2019)
+        simulator = VectorSimulator(LogSizeVectorProtocol(params), n, seed=2019)
         result = simulator.run_until_done(
             max_parallel_time=4 * expected_convergence_time(n, params)
         )

@@ -192,7 +192,7 @@ class TestSqliteStore:
             converged=False,
             convergence_time=None,
             max_additive_error=math.inf,
-            extra={"engine": "array", "final_estimate_mean": math.nan},
+            extra={"engine": "vector", "final_estimate_mean": math.nan},
         )
         store.append("k", record)
         loaded = store.get("k")
